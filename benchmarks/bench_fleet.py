@@ -7,7 +7,7 @@ eight trace-key work units) three ways:
   fleet configuration is checked byte-identical against;
 * **fleet xN** — a real ``repro-sim fleet coordinator`` subprocess plus
   N ``serve-worker`` subprocesses (N = 1, 2, 4), driven through the
-  blocking :class:`~repro.fleet.client.FleetClient`.
+  blocking :class:`~repro.service.client.ServiceClient` as one ``sweep``.
 
 Each pool size gets a fresh trace directory so no configuration rides
 an earlier one's warm store; the 1-worker wall time therefore brackets
@@ -15,8 +15,8 @@ the full distribution overhead (handshake, framing, MACs, merge) and
 the 2/4-worker times show what real process-level parallelism buys.
 
 Results land in ``results/BENCH_fleet.json`` so future PRs have a
-scaling trajectory to compare against; the CI ``fleet-smoke`` job
-uploads it as an artifact.
+scaling trajectory to compare against; the CI ``control-plane-smoke``
+job uploads it as an artifact.
 
 Standalone:    PYTHONPATH=src python benchmarks/bench_fleet.py
 Under pytest:  PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py -q
@@ -37,8 +37,8 @@ import time
 from pathlib import Path
 
 from repro.configs import scheme_config
-from repro.fleet.client import FleetClient
 from repro.runner import SweepJob, SweepRunner
+from repro.service.client import ServiceClient
 from repro.service.protocol import canonical_report_json
 from repro.workloads import get_workload
 
@@ -113,7 +113,7 @@ def _fleet_run(grid: list[SweepJob], n_workers: int, workdir: Path) -> tuple[lis
                 "--auth-key-file", str(key_file),
                 "--name", f"bench-worker-{n}",
             )
-        with FleetClient(addr, BENCH_KEY, name="bench-client") as client:
+        with ServiceClient(addr, 600.0, key=BENCH_KEY, name="bench-client") as client:
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
                 if len(client.status()["workers"]) == n_workers:
@@ -122,15 +122,16 @@ def _fleet_run(grid: list[SweepJob], n_workers: int, workdir: Path) -> tuple[lis
             else:
                 raise AssertionError(f"{n_workers} workers never registered")
             start = time.perf_counter()
-            reports = client.sweep(grid, timeout_s=600)
+            response = client.sweep(grid)
             elapsed = time.perf_counter() - start
+        assert response.get("ok"), f"fleet sweep failed: {response}"
         # SIGTERM the coordinator; it drains and tells the workers to
         # shut down, so every process must exit 0 on its own.
         children[0].send_signal(signal.SIGTERM)
         for child in children:
             assert child.wait(timeout=30) == 0, "fleet process did not exit cleanly"
         children.clear()
-        return reports, elapsed
+        return response["reports"], elapsed
     finally:
         for child in children:
             if child.poll() is None:

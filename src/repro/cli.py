@@ -9,9 +9,9 @@ Subcommands:
 * ``verify``      — differential conformance harness (``docs/VERIFICATION.md``)
 * ``serve``       — long-lived simulation service (``docs/SERVICE.md``)
 * ``submit``      — submit one cell to a running service
-* ``status``      — queue/job state and live metrics of a running service
+* ``status``      — dispatcher/job state and live metrics of ``serve`` or a coordinator
 * ``cancel``      — cancel a submitted job
-* ``fleet``       — distributed sweep fleet: coordinator and workers (``docs/FLEET.md``)
+* ``fleet``       — the TCP front: coordinator and workers (``docs/SERVICE.md``)
 * ``list``        — list workloads and experiments
 """
 
@@ -62,7 +62,7 @@ def _add_runner_args(sub_parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--fleet", metavar="ADDR", default=None,
-        help="distribute the sweep over a fleet coordinator at host:port (docs/FLEET.md)",
+        help="distribute the sweep over a fleet coordinator at host:port (docs/SERVICE.md)",
     )
     group.add_argument(
         "--auth-key-file", metavar="PATH", default=None,
@@ -165,10 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=64,
         help="max queued executions before submissions are rejected (default: 64)",
     )
-    serve_p.add_argument(
-        "--mode", choices=("auto", "serial", "parallel"), default="auto",
-        help="sweep execution mode for each batch (default: auto)",
-    )
     _add_runner_args(serve_p)
 
     sub_p = sub.add_parser("submit", help="submit one cell to a running service")
@@ -197,12 +193,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the full report as canonical JSON instead of a summary",
     )
 
-    st_p = sub.add_parser("status", help="inspect a running service or one job")
+    st_p = sub.add_parser("status", help="inspect a running dispatcher or one job")
     st_p.add_argument("job_id", nargs="?", default=None, help="job id to look up")
     st_p.add_argument("--socket", default=DEFAULT_SOCKET)
     st_p.add_argument(
         "--metrics", metavar="PATH", default=None,
-        help="write the live service.* metrics snapshot as JSONL to PATH",
+        help="write the live dispatcher metrics snapshot as JSONL to PATH",
     )
     st_p.add_argument(
         "--fleet", metavar="ADDR", default=None,
@@ -218,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     can_p.add_argument("--socket", default=DEFAULT_SOCKET)
 
     fleet_p = sub.add_parser(
-        "fleet", help="distributed sweep fleet: coordinator and workers (docs/FLEET.md)"
+        "fleet", help="the TCP front: coordinator and workers (docs/SERVICE.md)"
     )
     fleet_sub = fleet_p.add_subparsers(dest="fleet_command", required=True)
     coord_p = fleet_sub.add_parser(
@@ -242,10 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--steal-after", type=float, default=10.0, metavar="SECONDS",
         help="duplicate-assign a straggler's remaining cells to an idle "
              "worker after SECONDS; 0 disables stealing (default: 10)",
-    )
-    coord_p.add_argument(
-        "--max-cell-retries", type=int, default=3,
-        help="reassignments one cell tolerates before its sweep fails (default: 3)",
     )
     coord_p.add_argument(
         "--port-file", metavar="PATH", default=None,
@@ -293,12 +285,10 @@ def _sweeper(args):
     from repro.runner import SweepRunner, default_cache
 
     use_cache = False if args.no_cache else None
-    fleet_addr = getattr(args, "fleet", None)
     return SweepRunner(
         jobs=args.jobs,
         cache=default_cache(args.cache_dir, use_cache),
-        mode="fleet" if fleet_addr else "auto",
-        fleet_addr=fleet_addr,
+        fleet_addr=getattr(args, "fleet", None),
         fleet_key=_fleet_key(args),
     )
 
@@ -507,7 +497,6 @@ def _cmd_serve(args) -> int:
         jobs=args.jobs,
         max_queue=args.queue_limit,
         cache=cache,
-        mode=args.mode,
         fleet_addr=args.fleet,
         fleet_key=_fleet_key(args),
     )
@@ -555,46 +544,20 @@ def _cmd_submit(args) -> int:
     return 0
 
 
-def _cmd_fleet_status(args) -> int:
-    """Render a fleet coordinator's live snapshot (``status --fleet``)."""
-    from repro.fleet.client import FleetClient, FleetError
-    from repro.fleet.wire import FleetAuthError, load_auth_key
+def _connect(args):
+    """The client for ``--socket``, or for ``--fleet`` with its key."""
+    from repro.service.client import ServiceClient
 
-    try:
-        key = load_auth_key(args.auth_key_file)
-        with FleetClient(args.fleet, key, name="status-cli") as client:
-            snapshot = client.status()
-    except (FleetAuthError, FleetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    workers = snapshot.get("workers", [])
-    print(f"fleet coordinator  {args.fleet}")
-    print(f"workers            {len(workers)}")
-    print(f"queue depth        {snapshot.get('queue_depth', 0)} "
-          f"({snapshot.get('inflight_units', 0)} units in flight)")
-    for worker in workers:
-        print(f"  {worker['id']:6s} {worker['name']:24s} "
-              f"inflight={worker['inflight']:<4d} completed={worker['completed']:<6d} "
-              f"idle={worker['idle_s']:.1f}s")
-    metrics = snapshot.get("metrics", {})
-    for name in sorted(metrics):
-        if name.startswith("fleet.") and "." not in name[len("fleet."):]:
-            print(f"  {name:24s} {metrics[name].get('value')}")
-    if args.metrics:
-        from repro.obs import write_metrics_jsonl
-
-        count = write_metrics_jsonl(metrics, args.metrics)
-        print(f"wrote {count} metrics to {args.metrics}")
-    return 0
+    if args.fleet is None:
+        return ServiceClient(args.socket)
+    return ServiceClient(args.fleet, key=_fleet_key(args), name="status-cli")
 
 
 def _cmd_status(args) -> int:
-    from repro.service.client import ServiceClient, ServiceUnavailable
+    from repro.service.client import ServiceUnavailable
 
-    if args.fleet:
-        return _cmd_fleet_status(args)
     try:
-        with ServiceClient(args.socket) as client:
+        with _connect(args) as client:
             if args.metrics:
                 response = client.metrics()
                 if not response.get("ok"):
@@ -621,6 +584,13 @@ def _cmd_status(args) -> int:
         print(f"  {state:10s} {response['states'][state]}")
     for job in response["jobs"]:
         print(f"  {job['job_id']} {job['state']:8s} {job['client']:12s} {job['cell']}")
+    if "workers" in response:
+        print(f"workers            {len(response['workers'])} "
+              f"({response['inflight_units']} units in flight)")
+        for worker in response["workers"]:
+            print(f"  {worker['id']:6s} {worker['name']:24s} "
+                  f"inflight={worker['inflight']:<4d} completed={worker['completed']:<6d} "
+                  f"idle={worker['idle_s']:.1f}s")
     return 0
 
 
@@ -656,12 +626,11 @@ def _cmd_fleet(args) -> int:
             args.port,
             lease_timeout_s=args.lease_timeout,
             steal_after_s=args.steal_after if args.steal_after > 0 else None,
-            max_cell_retries=args.max_cell_retries,
             port_file=args.port_file,
         )
     assert args.fleet_command == "serve-worker", f"unhandled {args.fleet_command}"
-    from repro.fleet.client import parse_addr
     from repro.fleet.worker import run_worker
+    from repro.service.client import parse_addr
 
     host, port = parse_addr(args.addr)
     return run_worker(key, host, port, name=args.name, heartbeat_s=args.heartbeat)

@@ -60,7 +60,7 @@ class ExperimentRunner:
     rerun of any figure only simulates cells it has never seen; pass
     ``use_cache=False`` — or set ``REPRO_NO_CACHE`` — to disable it.
     ``fleet_addr`` distributes the sweep over a fleet coordinator
-    (``repro-sim experiment --fleet``; see ``docs/FLEET.md``).
+    (``repro-sim experiment --fleet``; see ``docs/SERVICE.md``).
     """
 
     def __init__(
@@ -82,7 +82,6 @@ class ExperimentRunner:
         self.sweeper = SweepRunner(
             jobs=jobs,
             cache=default_cache(cache_dir, use_cache),
-            mode="fleet" if fleet_addr else "auto",
             fleet_addr=fleet_addr,
             fleet_key=fleet_key,
         )

@@ -1,45 +1,30 @@
-"""Distributed sweep fleet: one deterministic sweep engine over N hosts.
+"""The TCP side of the control plane: authenticated wire, coordinator, workers.
 
-The single-host :class:`~repro.runner.sweep.SweepRunner` tops out at one
-machine's cores; the fleet turns a pool of machines into the same engine
-without giving up a byte of determinism.  Three roles, one authenticated
-TCP wire:
+The dispatcher itself lives in :mod:`repro.service.scheduler`; this
+package only puts it on the network:
 
-* the **coordinator** (``repro-sim fleet coordinator``) shards a sweep's
-  cells into lease-based work units grouped by trace key, assigns them to
-  workers, reassigns the remains of dead or partitioned workers, steals
-  straggler tails, and merges results back into input order;
-* **workers** (``repro-sim fleet serve-worker``) connect out to the
-  coordinator, execute cells through the exact
-  :func:`~repro.runner.jobs.execute_job` path a local sweep uses (one
-  trace compile per trace key per worker via the process-local
-  :class:`~repro.runner.trace_store.TraceStore`), and stream per-cell
-  results back under heartbeat-renewed leases;
-* **clients** submit whole sweeps: :class:`~repro.runner.sweep.SweepRunner`
-  grows a ``mode="fleet"`` backend, so ``repro-sim experiment --fleet`` /
-  ``verify --fleet`` and the simulation service all fan out transparently.
+* :mod:`~repro.fleet.wire` — the HMAC-SHA256 frame codec (session
+  binding, per-direction replay counters) that seals each
+  :mod:`repro.service.protocol` line on TCP;
+* :mod:`~repro.fleet.coordinator` — ``repro-sim fleet coordinator``: the
+  dispatcher behind a TCP listener, running units on leased workers
+  (lease expiry, bounded retry, steal, at-most-once acceptance);
+* :mod:`~repro.fleet.worker` — ``repro-sim fleet serve-worker``: executes
+  assigned units through :func:`~repro.runner.jobs.execute_job`.
 
-Every frame on the wire is HMAC-SHA256-authenticated and replay-protected
-(session nonces + strictly increasing per-direction counters — the same
-security posture as the paper's own transport).  The full contract —
-wire protocol, lease/heartbeat state machine, at-most-once acceptance,
-byte-identical determinism — is documented in ``docs/FLEET.md``.
+Clients use the one :class:`~repro.service.client.ServiceClient` with a
+``key``.  The full contract is documented in ``docs/SERVICE.md``.
 """
 
-from repro.fleet.client import FleetClient, FleetError, FleetUnavailable, parse_addr
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.wire import FleetAuthError, FrameError, load_auth_key
 from repro.fleet.worker import FleetWorker, run_worker
 
 __all__ = [
     "FleetAuthError",
-    "FleetClient",
     "FleetCoordinator",
-    "FleetError",
-    "FleetUnavailable",
     "FleetWorker",
     "FrameError",
     "load_auth_key",
-    "parse_addr",
     "run_worker",
 ]

@@ -1,60 +1,49 @@
-"""The fleet coordinator: lease-based sharding over a pool of TCP workers.
+"""The fleet coordinator: the dispatcher behind an authenticated TCP listener.
 
-One asyncio process owns the whole control plane.  Clients submit sweeps
-(every cell with its full config tree); the coordinator shards each sweep
-into **work units** — cells sharing a
-:func:`~repro.runner.trace_store.trace_key`, so a worker compiles or
-loads each trace exactly once per unit — queues the units through the
-same strict-priority / round-robin-within-class policy the simulation
-service uses (:class:`~repro.service.queues.PriorityRoundRobin`), and
-assigns them to idle workers under leases.
-
-The failure model (full state machine in ``docs/FLEET.md``):
+``repro-sim fleet coordinator`` is the same
+:class:`~repro.service.scheduler.SimulationService` that ``repro-sim
+serve`` runs, with two differences.  Requests arrive as
+:class:`~repro.fleet.wire.FrameCodec`-sealed lines over TCP and are
+answered by the same :func:`~repro.service.server.answer`; and units run
+on a pool of leased workers instead of a local thread.  What this module
+adds is that pool (full state machine in ``docs/SERVICE.md``):
 
 * a worker's **lease** over its unit is renewed by every authenticated
   frame it sends (heartbeats flow even while a cell simulates, so a slow
   worker is not a dead worker);
 * a worker whose lease expires — or whose connection drops — has the
-  *remaining* cells of its unit requeued at ``epoch + 1``; cells it
-  already streamed back are kept, so nothing re-executes needlessly;
-* acceptance is **at-most-once per cell**: the first result for a cell
-  wins, later copies (a stale epoch racing a reassignment, a stolen
-  straggler finishing twice) are discarded and counted, so the merged
-  sweep has zero lost and zero duplicated cells;
-* each cell tolerates a bounded number of reassignments
-  (``max_cell_retries``); past that the whole sweep fails with a
-  structured ``retries_exhausted`` error rather than looping forever;
+  cells of its unit it has not answered put back in the dispatcher's
+  queue; cells it already streamed back are kept;
+* acceptance is **at-most-once per cell**: the first result for an
+  execution wins, later copies (a stolen straggler finishing twice, a
+  result for a lease already retired) are discarded and counted;
+* each cell tolerates :data:`MAX_CELL_RETRIES` requeues; past that its
+  tickets fail with a structured ``retries_exhausted`` error rather than
+  looping forever;
 * when the queue runs dry and a worker idles, the coordinator **steals
-  the tail**: the remaining cells of the longest-held in-flight unit are
-  duplicate-assigned at a fresh epoch, and first-wins acceptance keeps
-  the merge exact.
+  the tail**: the unanswered cells of the longest-held lease older than
+  ``steal_after_s`` are duplicate-assigned, and first-wins acceptance
+  keeps the merge exact.
 
-Determinism: a cell's report is a pure function of its description, and
-the coordinator merges results by input index — so a fleet sweep renders
-byte-identically (canonical JSON) to a direct single-host
-:class:`~repro.runner.sweep.SweepRunner` run no matter how many workers
-ran it, which worker ran what, or how many leases expired on the way.
-
-Everything observable lands in the ``fleet.*`` telemetry namespace
-(``docs/OBSERVABILITY.md``), served live to ``repro-sim status --fleet``.
+Worker and lease events land in the ``fleet.*`` namespace of the
+dispatcher's registry; admission, queue and latency stay ``service.*``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import re
 import time
 from typing import Any
 
-from repro.obs import Telemetry
-from repro.service.queues import DEFAULT_PRIORITY, PRIORITIES, PriorityRoundRobin
+from repro.runner.serialize import report_from_dict
+from repro.service import protocol
+from repro.service.scheduler import Execution, ServiceError, SimulationService
+from repro.service.server import answer, serve_until_signalled
 
-from repro.fleet import protocol
 from repro.fleet.wire import (
     DIR_FROM_COORDINATOR,
     DIR_TO_COORDINATOR,
-    FleetAuthError,
     FrameCodec,
     FrameError,
     MAX_FRAME_BYTES,
@@ -64,88 +53,60 @@ from repro.fleet.wire import (
 #: Default lease: a worker silent for this long is presumed dead.
 DEFAULT_LEASE_TIMEOUT_S = 15.0
 
-#: Default straggler threshold: an in-flight unit older than this may be
+#: Default straggler threshold: a lease older than this may be
 #: duplicate-assigned to an idle worker (None disables stealing).
 DEFAULT_STEAL_AFTER_S = 10.0
 
-#: Reassignments one cell tolerates before its sweep fails.
-DEFAULT_MAX_CELL_RETRIES = 3
-
-_METRIC_SAFE = re.compile(r"[^a-z0-9_]+")
+#: Requeues one cell tolerates before its tickets fail.
+MAX_CELL_RETRIES = 3
 
 
-def _metric_label(worker_id: str) -> str:
-    """Coordinator-issued worker ids are metric-safe by construction, but
-    sanitize anyway so a future id scheme cannot poison the namespace."""
-    label = _METRIC_SAFE.sub("_", worker_id.lower()).strip("_")
-    return label if label and label[0].isalpha() else f"w_{label or 'x'}"
+class _Lease:
+    """One unit assigned to one worker; cells are indexed by position."""
+
+    __slots__ = ("lease_id", "executions", "worker", "assigned_at", "stolen")
+
+    def __init__(self, lease_id: str, executions: list[Execution], worker: "_Peer", stolen: bool) -> None:
+        self.lease_id = lease_id
+        self.executions = executions
+        self.worker = worker
+        self.assigned_at = time.monotonic()
+        self.stolen = stolen  # a stolen lease and its original are never stolen again
+
+    def running(self) -> list[Execution]:
+        return [e for e in self.executions if e.state == "running"]
 
 
-class _WorkUnit:
-    """A lease-sized shard: one batch's cells sharing one trace key."""
+class _Peer:
+    """One authenticated connection (worker or client) and its send plumbing."""
 
-    __slots__ = ("unit_id", "batch", "trace_key", "pending", "attempts", "epoch", "holders", "assigned_at")
+    __slots__ = ("peer_id", "name", "reader", "writer", "codec", "send_lock", "last_seen", "lease", "completed", "closed")
 
-    def __init__(self, unit_id: str, batch: "_Batch", trace_key: str, cells: dict[int, dict]) -> None:
-        self.unit_id = unit_id
-        self.batch = batch
-        self.trace_key = trace_key
-        self.pending = cells  # input index -> wire cell, not yet accepted
-        self.attempts = {index: 0 for index in cells}
-        self.epoch = 0
-        self.holders: dict[int, str] = {}  # epoch -> worker id
-        self.assigned_at: float | None = None
-
-
-class _Batch:
-    """One client sweep: its cells, its accumulating results, its fate."""
-
-    __slots__ = ("batch_id", "request_id", "connection", "priority", "n_cells", "results", "units", "failed")
-
-    def __init__(self, batch_id: str, request_id: Any, connection: "_Connection", priority: str, n_cells: int) -> None:
-        self.batch_id = batch_id
-        self.request_id = request_id
-        self.connection = connection
-        self.priority = priority
-        self.n_cells = n_cells
-        self.results: dict[int, dict] = {}
-        self.units: list[_WorkUnit] = []
-        self.failed: dict | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.failed is not None or len(self.results) == self.n_cells
-
-
-class _Connection:
-    """One authenticated peer (worker or client) and its send plumbing."""
-
-    __slots__ = ("peer_id", "name", "role", "reader", "writer", "codec", "send_lock", "last_seen", "unit", "completed", "closed")
-
-    def __init__(self, peer_id: str, name: str, role: str, reader, writer, codec: FrameCodec) -> None:
+    def __init__(self, peer_id: str, name: str, reader, writer, codec: FrameCodec) -> None:
         self.peer_id = peer_id
         self.name = name
-        self.role = role
         self.reader = reader
         self.writer = writer
         self.codec = codec
         self.send_lock = asyncio.Lock()
         self.last_seen = time.monotonic()
-        self.unit: _WorkUnit | None = None  # workers hold at most one unit
+        self.lease: _Lease | None = None  # workers hold at most one lease
         self.completed = 0  # cells this worker delivered
         self.closed = False
 
 
 class FleetCoordinator:
-    """Authenticated TCP control plane for a worker pool.
+    """The dispatcher's TCP front and its leased worker pool.
 
     ``key``              the fleet's shared HMAC secret (bytes)
     ``host``/``port``    bind address (port 0 picks a free port; read
                          :attr:`port` after :meth:`start`)
     ``lease_timeout_s``  silence threshold before a worker is declared dead
-    ``steal_after_s``    straggler age before its tail is duplicate-assigned
+    ``steal_after_s``    lease age before its tail is duplicate-assigned
                          (None disables work stealing)
-    ``max_cell_retries`` reassignments a cell survives before its sweep fails
+
+    The coordinator is the executor of its :attr:`service`: the
+    dispatcher calls :meth:`run` with each unit while :meth:`idle`.
     """
 
     def __init__(
@@ -156,54 +117,41 @@ class FleetCoordinator:
         *,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         steal_after_s: float | None = DEFAULT_STEAL_AFTER_S,
-        max_cell_retries: int = DEFAULT_MAX_CELL_RETRIES,
     ) -> None:
         self.key = key
         self.host = host
         self.port = port
         self.lease_timeout_s = lease_timeout_s
         self.steal_after_s = steal_after_s
-        self.max_cell_retries = max_cell_retries
-        self.telemetry = Telemetry()
+        self.service = SimulationService()
+        self.service.executor = self
+        self.telemetry = self.service.telemetry
         self._server: asyncio.AbstractServer | None = None
-        self._workers: dict[str, _Connection] = {}
-        self._clients: dict[str, _Connection] = {}
-        self._queue = PriorityRoundRobin()  # pending _WorkUnits
-        self._units: dict[str, _WorkUnit] = {}  # in-flight (assigned) units
-        self._dispatch_wake = asyncio.Event()
+        self._workers: dict[str, _Peer] = {}
+        self._clients: set[_Peer] = set()
+        self._leases: dict[str, _Lease] = {}
         self._tasks: set[asyncio.Task] = set()
         self._next_peer = 0
-        self._next_unit = 0
-        self._next_batch = 0
-        self._stopping = False
+        self._next_lease = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
+        await self.service.start()
         self._server = await asyncio.start_server(
             self._accept, host=self.host, port=self.port, limit=MAX_FRAME_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._spawn(self._dispatch_loop(), name="fleet-dispatch")
-        self._spawn(self._lease_loop(), name="fleet-leases")
 
     async def stop(self) -> None:
-        """Shut down: fail queued sweeps, wave workers off, close sockets."""
-        self._stopping = True
+        """Shut down: answer outstanding work ``draining``, wave workers off."""
         if self._server is not None:
             self._server.close()
-        for connection in list(self._workers.values()):
-            with contextlib.suppress(Exception):
-                await self._send(connection, {"op": "shutdown"})
-        for batch in {unit.batch for unit in list(self._units.values())} | {
-            unit.batch for unit in list(self._queue)
-        }:
-            await self._fail_batch(
-                batch, protocol.fleet_error("shutting_down", "coordinator stopping")
-            )
-        for connection in list(self._workers.values()) + list(self._clients.values()):
-            self._hang_up(connection)
+        await self.service.stop()
+        await asyncio.sleep(0.05)  # let client handlers write their last answers
+        for peer in list(self._workers.values()) + list(self._clients):
+            self._hang_up(peer)
         for task in list(self._tasks):
             task.cancel()
         for task in list(self._tasks):
@@ -214,14 +162,72 @@ class FleetCoordinator:
                 await self._server.wait_closed()
             self._server = None
 
-    def _spawn(self, coro, name: str) -> None:
+    def _spawn(self, coro) -> None:
         task = asyncio.ensure_future(coro)
-        task.set_name(name)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Executor interface (called by the dispatcher)
+    # ------------------------------------------------------------------
+    async def open(self) -> None:
+        self._spawn(self._lease_loop())
+
+    async def close(self) -> None:
+        for worker in list(self._workers.values()):
+            with contextlib.suppress(Exception):
+                await self._send(worker, {"op": "shutdown"})
+
+    def _idle_workers(self) -> list[_Peer]:
+        return [w for w in self._workers.values() if w.lease is None and not w.closed]
+
+    def idle(self) -> bool:
+        return bool(self._idle_workers())
+
+    def busy(self) -> bool:
+        return bool(self._leases)
+
+    async def run(self, unit: list[Execution]) -> None:
+        await self._assign(self._idle_workers()[0], unit, stolen=False)
+
+    async def steal(self) -> None:
+        """Duplicate the oldest straggler's unanswered cells onto idle workers."""
+        if self.steal_after_s is None:
+            return
+        for worker in self._idle_workers():
+            if worker.closed or worker.lease is not None:
+                continue  # changed while the previous steal was being sent
+            now = time.monotonic()
+            candidates = [
+                lease
+                for lease in self._leases.values()
+                if not lease.stolen and lease.running() and now - lease.assigned_at >= self.steal_after_s
+            ]
+            if not candidates:
+                return
+            lease = min(candidates, key=lambda candidate: candidate.assigned_at)
+            lease.stolen = True
+            self.telemetry.counter("fleet.stolen").add(len(lease.running()))
+            await self._assign(worker, lease.running(), stolen=True)
+
+    def status(self) -> dict[str, Any]:
+        now = time.monotonic()
+        return {
+            "workers": [
+                {
+                    "id": w.peer_id,
+                    "name": w.name,
+                    "completed": w.completed,
+                    "inflight": len(w.lease.running()) if w.lease is not None else 0,
+                    "idle_s": round(now - w.last_seen, 3),
+                }
+                for w in self._workers.values()
+            ],
+            "inflight_units": len(self._leases),
+        }
+
+    # ------------------------------------------------------------------
+    # Connections
     # ------------------------------------------------------------------
     async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         codec = FrameCodec(self.key)
@@ -244,369 +250,157 @@ class FleetCoordinator:
             writer.close()
             return
         self._next_peer += 1
-        peer_id = f"w{self._next_peer}" if hello["role"] == "worker" else f"c{self._next_peer}"
+        worker = hello["role"] == "worker"
+        peer_id = f"{'w' if worker else 'c'}{self._next_peer}"
         nonce = make_nonce()
         codec.bind(hello["nonce"] + nonce, DIR_FROM_COORDINATOR, DIR_TO_COORDINATOR)
-        connection = _Connection(peer_id, hello["name"], hello["role"], reader, writer, codec)
+        peer = _Peer(peer_id, hello["name"], reader, writer, codec)
         try:
-            await self._send(connection, protocol.welcome_body(nonce))
+            await self._send(peer, protocol.welcome_body(nonce))
         except ConnectionError:
             writer.close()
             return
-        if connection.role == "worker":
-            self._workers[peer_id] = connection
+        if worker:
+            self._workers[peer_id] = peer
             self.telemetry.gauge("fleet.workers").set(len(self._workers))
-            self._dispatch_wake.set()
+            self.service.wake()
             try:
-                await self._worker_loop(connection)
+                await self._worker_loop(peer)
             finally:
-                await self._worker_died(connection, reason="disconnect")
+                self._worker_died(peer, reason="disconnect")
         else:
-            self._clients[peer_id] = connection
+            self._clients.add(peer)
             try:
-                await self._client_loop(connection)
+                while (body := await self._read(peer)) is not None:
+                    await self._send(peer, await answer(self.service, body))
+            except (FrameError, ConnectionError):
+                pass
             finally:
-                self._clients.pop(peer_id, None)
-                self._hang_up(connection)
-                await self._cancel_client_batches(connection)
+                self._clients.discard(peer)
+                self._hang_up(peer)
 
-    async def _send(self, connection: _Connection, body: dict) -> None:
-        async with connection.send_lock:
-            line = connection.codec.seal(body)
-            connection.writer.write(line)
-            await connection.writer.drain()
+    async def _send(self, peer: _Peer, body: dict) -> None:
+        async with peer.send_lock:
+            line = peer.codec.seal(body)
+            peer.writer.write(line)
+            await peer.writer.drain()
         self.telemetry.counter("fleet.bytes_tx").add(len(line))
 
-    async def _read(self, connection: _Connection) -> dict | None:
+    async def _read(self, peer: _Peer) -> dict | None:
         """One authenticated frame, or None on EOF/teardown."""
         try:
-            line = await connection.reader.readline()
+            line = await peer.reader.readline()
         except (ConnectionError, asyncio.IncompleteReadError):
             return None
         if not line:
             return None
         self.telemetry.counter("fleet.bytes_rx").add(len(line))
-        body = connection.codec.open(line)  # FleetAuthError propagates: hang up
-        connection.last_seen = time.monotonic()
+        body = peer.codec.open(line)  # FleetAuthError propagates: hang up
+        peer.last_seen = time.monotonic()
         return body
 
-    def _hang_up(self, connection: _Connection) -> None:
-        connection.closed = True
+    def _hang_up(self, peer: _Peer) -> None:
+        peer.closed = True
         with contextlib.suppress(Exception):
-            connection.writer.close()
+            peer.writer.close()
 
     # ------------------------------------------------------------------
     # Worker conversation
     # ------------------------------------------------------------------
-    async def _worker_loop(self, connection: _Connection) -> None:
-        while not connection.closed:
+    async def _worker_loop(self, peer: _Peer) -> None:
+        while not peer.closed:
             try:
-                body = await self._read(connection)
+                body = await self._read(peer)
             except FrameError:
-                return  # tampered/replayed frame: the lease machinery reaps
+                return  # tampered/replayed frame: hang up, requeue its unit
             if body is None:
                 return
             op = body.get("op")
-            if op == "heartbeat":
-                continue  # _read already refreshed the lease
             if op == "result":
-                self._accept_result(connection, body)
+                await self._accept_result(peer, body)
             elif op == "unit_done":
-                await self._unit_done(connection, body)
+                self._retire(peer, body.get("unit"), reason="unit_done")
             elif op == "unit_failed":
-                await self._unit_failed(connection, body)
-            # unknown worker ops are ignored (forward compatibility)
+                self._retire(peer, body.get("unit"), reason="execution_failed", detail=body.get("message", ""))
+            # heartbeats (and unknown ops) only renew the lease in _read
 
-    def _accept_result(self, connection: _Connection, body: dict) -> None:
-        unit = self._units.get(body.get("unit", ""))
+    async def _accept_result(self, peer: _Peer, body: dict) -> None:
+        lease = self._leases.get(body.get("unit", ""))
         index = body.get("cell")
-        if unit is None or not isinstance(index, int):
+        if (
+            lease is None
+            or lease.worker is not peer
+            or not isinstance(index, int)
+            or not 0 <= index < len(lease.executions)
+            or lease.executions[index].state != "running"
+        ):
+            # Retired lease, or already accepted from a steal copy: first wins.
             self.telemetry.counter("fleet.duplicates_discarded").add(1)
             return
-        if index not in unit.pending:
-            # Already accepted from another epoch (reassignment or steal
-            # racing the original holder): at-most-once, first wins.
-            self.telemetry.counter("fleet.duplicates_discarded").add(1)
-            return
-        del unit.pending[index]
-        unit.batch.results[index] = body.get("report")
-        connection.completed += 1
+        self.service.complete(lease.executions[index], report_from_dict(body.get("report")))
+        peer.completed += 1
         self.telemetry.counter("fleet.completed").add(1)
-        self.telemetry.gauge(f"fleet.worker.{_metric_label(connection.peer_id)}.completed").set(
-            connection.completed
-        )
-        if unit.batch.done:
-            self._spawn(self._finish_batch(unit.batch), name=f"fleet-finish-{unit.batch.batch_id}")
+        # Release the other copy of a stolen unit once all its cells are
+        # answered (an unstolen lease is retired by its holder's unit_done).
+        for other in list(self._leases.values()):
+            if other.stolen and other.worker is not peer and not other.running():
+                self._drop_lease(other)
+                with contextlib.suppress(ConnectionError, OSError):
+                    await self._send(other.worker, {"op": "release", "unit": other.lease_id})
+        self.service.wake()
 
-    async def _unit_done(self, connection: _Connection, body: dict) -> None:
-        unit = self._units.get(body.get("unit", ""))
-        if unit is not None and not unit.pending:
-            # Fully accepted: retire the unit and release any other holder
-            # (a steal copy still grinding through already-answered cells).
-            self._units.pop(unit.unit_id, None)
-            for epoch, holder_id in list(unit.holders.items()):
-                holder = self._workers.get(holder_id)
-                if holder is not None and holder is not connection:
-                    with contextlib.suppress(ConnectionError):
-                        await self._send(holder, {"op": "release", "unit": unit.unit_id, "epoch": epoch})
-                    if holder.unit is unit:
-                        holder.unit = None
-                if holder is not None and holder.unit is unit:
-                    holder.unit = None
-            unit.holders.clear()
-        if connection.unit is not None and body.get("unit") == connection.unit.unit_id:
-            connection.unit = None
-        self._gauge_inflight(connection)
-        self._dispatch_wake.set()
-
-    async def _unit_failed(self, connection: _Connection, body: dict) -> None:
-        """A cell raised on the worker: treat like a lease loss for the unit,
-        but attribute the attempt so bounded retries still bound it."""
-        unit = self._units.get(body.get("unit", ""))
-        if connection.unit is unit:
-            connection.unit = None
-        self._gauge_inflight(connection)
-        if unit is None:
+    def _retire(self, peer: _Peer, lease_id: Any, *, reason: str, detail: str = "") -> None:
+        """The holder finished (or failed) its lease: free it, requeue leftovers."""
+        lease = self._leases.get(lease_id) if isinstance(lease_id, str) else None
+        if lease is None or lease.worker is not peer:
             return
-        for epoch, holder in list(unit.holders.items()):
-            if holder == connection.peer_id:
-                del unit.holders[epoch]
-        if not unit.holders:
-            self._units.pop(unit.unit_id, None)
-            await self._requeue(unit, reason="execution_failed", detail=body.get("message", ""))
-        self._dispatch_wake.set()
+        self._drop_lease(lease)
+        if reason == "unit_done":
+            self.service.record_batch(time.monotonic() - lease.assigned_at)
+        self._requeue(lease, reason=reason, detail=detail)
 
-    async def _worker_died(self, connection: _Connection, *, reason: str) -> None:
-        if self._workers.pop(connection.peer_id, None) is None:
-            return  # already reaped (lease expiry racing EOF)
-        self._hang_up(connection)
-        self.telemetry.gauge("fleet.workers").set(len(self._workers))
-        label = _metric_label(connection.peer_id)
-        self.telemetry.gauge(f"fleet.worker.{label}.inflight").set(0)
-        unit = connection.unit
-        connection.unit = None
-        if unit is not None:
-            dead_epochs = [e for e, holder in unit.holders.items() if holder == connection.peer_id]
-            for epoch in dead_epochs:
-                del unit.holders[epoch]
-            if not unit.holders and unit.pending and unit.unit_id in self._units:
-                self._units.pop(unit.unit_id, None)
-                await self._requeue(unit, reason=reason, detail=f"worker {connection.name} lost")
-        self._dispatch_wake.set()
+    def _worker_died(self, peer: _Peer, *, reason: str) -> None:
+        if self._workers.pop(peer.peer_id, None) is not None:
+            self._hang_up(peer)
+            self.telemetry.gauge("fleet.workers").set(len(self._workers))
+        if peer.lease is not None:  # None when already reaped (lease expiry racing EOF)
+            lease = peer.lease
+            self._drop_lease(lease)
+            self._requeue(lease, reason=reason, detail=f"worker {peer.name} lost")
 
-    async def _requeue(self, unit: _WorkUnit, *, reason: str, detail: str) -> None:
-        """Give a unit's remaining cells another epoch, or fail its sweep."""
-        if unit.batch.failed is not None or not unit.pending:
+    def _drop_lease(self, lease: _Lease) -> None:
+        self._leases.pop(lease.lease_id, None)
+        if lease.worker.lease is lease:
+            lease.worker.lease = None
+        self.service.wake()
+
+    def _requeue(self, lease: _Lease, *, reason: str, detail: str) -> None:
+        """Give a dropped lease's unanswered cells another attempt, or fail them."""
+        held = {e for other in self._leases.values() for e in other.executions}
+        remaining = [e for e in lease.running() if e not in held]
+        if not remaining:
             return
-        exhausted = [i for i in unit.pending if unit.attempts[i] + 1 > self.max_cell_retries]
-        if exhausted:
+        for execution in remaining:
+            execution.attempts += 1
+        if max(e.attempts for e in remaining) > MAX_CELL_RETRIES:
             code = "execution_failed" if reason == "execution_failed" else "retries_exhausted"
-            await self._fail_batch(
-                unit.batch,
-                protocol.fleet_error(
-                    code,
-                    f"cell {min(exhausted)} failed {self.max_cell_retries + 1} "
-                    f"assignments (last: {detail})",
-                ),
-            )
+            message = f"cell failed {MAX_CELL_RETRIES + 1} assignments (last: {detail or reason})"
+            self.service.fail(remaining, ServiceError(code, message))
             return
-        for index in unit.pending:
-            unit.attempts[index] += 1
-        unit.epoch += 1
-        unit.assigned_at = None
-        self.telemetry.counter("fleet.reassigned").add(len(unit.pending))
         if reason == "lease_expired":
             self.telemetry.counter("fleet.lease_expired").add(1)
-        self._queue.push(unit, client=unit.batch.connection.peer_id, priority=unit.batch.priority)
-        self.telemetry.gauge("fleet.queue.depth").set(len(self._queue))
+        self.telemetry.counter("fleet.reassigned").add(len(remaining))
+        self.service.requeue(remaining)
 
-    # ------------------------------------------------------------------
-    # Client conversation
-    # ------------------------------------------------------------------
-    async def _client_loop(self, connection: _Connection) -> None:
-        while not connection.closed:
-            try:
-                body = await self._read(connection)
-            except FrameError:
-                return
-            if body is None:
-                return
-            op = body.get("op")
-            if op == "ping":
-                await self._send(connection, {"op": "pong", "workers": len(self._workers)})
-            elif op == "status":
-                await self._send(connection, {"op": "status_result", **self.status()})
-            elif op == "sweep":
-                await self._admit_sweep(connection, body)
-            else:
-                await self._send(
-                    connection,
-                    {"op": "sweep_result", "ok": False, "id": body.get("id"),
-                     "error": protocol.fleet_error("bad_request", f"unknown op {op!r}")},
-                )
-
-    async def _admit_sweep(self, connection: _Connection, body: dict) -> None:
-        request_id = body.get("id")
-        if self._stopping:
-            await self._send(
-                connection,
-                {"op": "sweep_result", "ok": False, "id": request_id,
-                 "error": protocol.fleet_error("shutting_down", "coordinator stopping")},
-            )
-            return
-        cells = body.get("cells")
-        priority = body.get("priority", DEFAULT_PRIORITY)
-        error: dict | None = None
-        if not isinstance(cells, list) or not cells:
-            error = protocol.fleet_error("bad_request", "sweep requires a non-empty cell list")
-        elif priority not in PRIORITIES:
-            error = protocol.fleet_error("bad_request", f"unknown priority {priority!r}")
-        else:
-            for cell in cells:
-                try:
-                    protocol.job_from_wire(cell)  # full validation before sharding
-                except KeyError:
-                    error = protocol.fleet_error(
-                        "unknown_workload", f"unknown workload {cell.get('workload')!r}"
-                    )
-                    break
-                except FrameError as exc:
-                    error = protocol.fleet_error("bad_request", str(exc))
-                    break
-        if error is not None:
-            await self._send(
-                connection, {"op": "sweep_result", "ok": False, "id": request_id, "error": error}
-            )
-            return
-        self._next_batch += 1
-        batch = _Batch(f"b{self._next_batch:06d}", request_id, connection, priority, len(cells))
-        self.telemetry.counter("fleet.sweeps").add(1)
-        self.telemetry.counter("fleet.cells").add(len(cells))
-        groups: dict[str, dict[int, dict]] = {}
-        for index, cell in enumerate(cells):
-            groups.setdefault(protocol.wire_trace_key(cell), {})[index] = cell
-        for trace_key, members in groups.items():
-            self._next_unit += 1
-            unit = _WorkUnit(f"u{self._next_unit:06d}", batch, trace_key, members)
-            batch.units.append(unit)
-            self._queue.push(unit, client=connection.peer_id, priority=priority)
-        self.telemetry.gauge("fleet.queue.depth").set(len(self._queue))
-        self._dispatch_wake.set()
-
-    async def _finish_batch(self, batch: _Batch) -> None:
-        if batch.failed is not None:
-            return
-        results = [batch.results[index] for index in range(batch.n_cells)]
-        with contextlib.suppress(ConnectionError):
-            await self._send(
-                batch.connection,
-                {"op": "sweep_result", "ok": True, "id": batch.request_id, "results": results},
-            )
-
-    async def _cancel_client_batches(self, connection: _Connection) -> None:
-        """A departed client's sweeps stop consuming workers immediately."""
-        outstanding = {unit.batch for unit in list(self._units.values())} | {
-            unit.batch for unit in list(self._queue)
-        }
-        for batch in outstanding:
-            if batch.connection is connection and not batch.done:
-                await self._fail_batch(
-                    batch, protocol.fleet_error("internal", "client disconnected mid-sweep")
-                )
-
-    async def _fail_batch(self, batch: _Batch, error: dict) -> None:
-        if batch.failed is not None:
-            return
-        batch.failed = error
-        for unit in batch.units:
-            if self._queue.remove(unit):
-                self.telemetry.gauge("fleet.queue.depth").set(len(self._queue))
-            if self._units.pop(unit.unit_id, None) is not None:
-                for epoch, holder_id in list(unit.holders.items()):
-                    holder = self._workers.get(holder_id)
-                    if holder is not None:
-                        with contextlib.suppress(ConnectionError):
-                            await self._send(
-                                holder, {"op": "release", "unit": unit.unit_id, "epoch": epoch}
-                            )
-                        if holder.unit is unit:
-                            holder.unit = None
-                            self._gauge_inflight(holder)
-                unit.holders.clear()
-        with contextlib.suppress(ConnectionError):
-            await self._send(
-                batch.connection,
-                {"op": "sweep_result", "ok": False, "id": batch.request_id, "error": error},
-            )
-        self._dispatch_wake.set()
-
-    # ------------------------------------------------------------------
-    # Dispatch and leases
-    # ------------------------------------------------------------------
-    def _idle_workers(self) -> list[_Connection]:
-        return [w for w in self._workers.values() if w.unit is None and not w.closed]
-
-    def _gauge_inflight(self, connection: _Connection) -> None:
-        label = _metric_label(connection.peer_id)
-        inflight = len(connection.unit.pending) if connection.unit is not None else 0
-        self.telemetry.gauge(f"fleet.worker.{label}.inflight").set(inflight)
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            await self._dispatch_wake.wait()
-            self._dispatch_wake.clear()
-            for worker in self._idle_workers():
-                unit = self._queue.pop()
-                if unit is None:
-                    unit = self._steal_candidate()
-                    if unit is None:
-                        break
-                    unit = self._fork_steal(unit)
-                else:
-                    self.telemetry.gauge("fleet.queue.depth").set(len(self._queue))
-                await self._assign(worker, unit)
-
-    def _steal_candidate(self) -> _WorkUnit | None:
-        """The oldest single-holder in-flight unit past the straggler age."""
-        if self.steal_after_s is None:
-            return None
-        now = time.monotonic()
-        candidates = [
-            unit
-            for unit in self._units.values()
-            if unit.pending
-            and len(unit.holders) == 1
-            and unit.assigned_at is not None
-            and now - unit.assigned_at >= self.steal_after_s
-            and unit.batch.failed is None
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda unit: unit.assigned_at)
-
-    def _fork_steal(self, unit: _WorkUnit) -> _WorkUnit:
-        unit.epoch += 1
-        self.telemetry.counter("fleet.stolen").add(len(unit.pending))
-        return unit
-
-    async def _assign(self, worker: _Connection, unit: _WorkUnit) -> None:
-        cells = [{"index": index, "job": cell} for index, cell in sorted(unit.pending.items())]
-        if not cells:  # fully accepted while queued (steal copy won the race)
-            return
-        unit.holders[unit.epoch] = worker.peer_id
-        unit.assigned_at = time.monotonic()
-        worker.unit = unit
-        self._units[unit.unit_id] = unit
-        self.telemetry.counter("fleet.dispatched").add(len(cells))
-        self._gauge_inflight(worker)
+    async def _assign(self, worker: _Peer, unit: list[Execution], *, stolen: bool) -> None:
+        self._next_lease += 1
+        lease = _Lease(f"u{self._next_lease:06d}", unit, worker, stolen)
+        self._leases[lease.lease_id] = worker.lease = lease
+        cells = [{"index": i, "job": protocol.job_to_wire(e.job)} for i, e in enumerate(unit)]
         try:
-            await self._send(
-                worker,
-                {"op": "assign", "unit": unit.unit_id, "epoch": unit.epoch,
-                 "trace_key": unit.trace_key, "cells": cells},
-            )
+            await self._send(worker, {"op": "assign", "unit": lease.lease_id, "cells": cells})
         except (ConnectionError, OSError):
-            await self._worker_died(worker, reason="disconnect")
+            self._worker_died(worker, reason="disconnect")
 
     async def _lease_loop(self) -> None:
         tick = max(0.05, self.lease_timeout_s / 4)
@@ -615,60 +409,8 @@ class FleetCoordinator:
             now = time.monotonic()
             for worker in list(self._workers.values()):
                 if now - worker.last_seen > self.lease_timeout_s:
-                    await self._worker_died(worker, reason="lease_expired")
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def status(self) -> dict[str, Any]:
-        """JSON-safe fleet snapshot (the ``status --fleet`` payload)."""
-        now = time.monotonic()
-        return {
-            "workers": [
-                {
-                    "id": w.peer_id,
-                    "name": w.name,
-                    "completed": w.completed,
-                    "inflight": len(w.unit.pending) if w.unit is not None else 0,
-                    "idle_s": round(now - w.last_seen, 3),
-                }
-                for w in self._workers.values()
-            ],
-            "queue_depth": len(self._queue),
-            "inflight_units": len(self._units),
-            "metrics": self.telemetry.snapshot(),
-        }
-
-
-async def _run_coordinator_async(coordinator: FleetCoordinator, port_file: str | None) -> int:
-    import os
-    import signal
-
-    await coordinator.start()
-    print(
-        f"repro-sim fleet coordinator: listening on {coordinator.host}:{coordinator.port} "
-        f"(pid {os.getpid()})",
-        flush=True,
-    )
-    if port_file:
-        from repro.runner.atomic import atomic_write_text
-
-        atomic_write_text(port_file, f"{coordinator.port}\n")
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    installed = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(NotImplementedError, RuntimeError):
-            loop.add_signal_handler(sig, stop.set)
-            installed.append(sig)
-    try:
-        await stop.wait()
-        print("repro-sim fleet coordinator: stopping...", flush=True)
-        await coordinator.stop()
-    finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-    return 0
+                    self._worker_died(worker, reason="lease_expired")
+            self.service.wake()  # re-check straggler ages for stealing
 
 
 def run_coordinator(
@@ -678,28 +420,37 @@ def run_coordinator(
     *,
     lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
     steal_after_s: float | None = DEFAULT_STEAL_AFTER_S,
-    max_cell_retries: int = DEFAULT_MAX_CELL_RETRIES,
     port_file: str | None = None,
 ) -> int:
     """Blocking CLI entry: serve until SIGTERM/SIGINT, then stop cleanly."""
     coordinator = FleetCoordinator(
-        key,
-        host,
-        port,
-        lease_timeout_s=lease_timeout_s,
-        steal_after_s=steal_after_s,
-        max_cell_retries=max_cell_retries,
+        key, host, port, lease_timeout_s=lease_timeout_s, steal_after_s=steal_after_s
     )
+
+    async def start() -> None:
+        await coordinator.start()
+        if port_file:
+            from repro.runner.atomic import atomic_write_text
+
+            atomic_write_text(port_file, f"{coordinator.port}\n")
+
     try:
-        return asyncio.run(_run_coordinator_async(coordinator, port_file))
+        return asyncio.run(
+            serve_until_signalled(
+                start,
+                coordinator.stop,
+                lambda: f"listening on {coordinator.host}:{coordinator.port}",
+                "repro-sim fleet coordinator",
+            )
+        )
     except KeyboardInterrupt:
         return 0
 
 
 __all__ = [
     "DEFAULT_LEASE_TIMEOUT_S",
-    "DEFAULT_MAX_CELL_RETRIES",
     "DEFAULT_STEAL_AFTER_S",
+    "MAX_CELL_RETRIES",
     "FleetCoordinator",
     "run_coordinator",
 ]

@@ -6,7 +6,7 @@ the security posture of the paper's own transport — MAC everything,
 never accept a counter twice:
 
 * **frames** are one canonical-JSON line each (sorted keys, compact
-  separators — the :mod:`repro.service.protocol` conventions):
+  separators) wrapping one :mod:`repro.service.protocol` message:
   ``{"b": <body>, "mac": <hex>, "n": <counter>}``;
 * the **MAC** is HMAC-SHA256 under the fleet's shared secret over the
   canonical JSON of ``{"body", "ctr", "dir", "session"}`` — binding each
@@ -39,9 +39,6 @@ import os
 import secrets
 from pathlib import Path
 from typing import Any
-
-#: Bump on incompatible fleet wire changes; both sides echo it in hello.
-FLEET_PROTOCOL = 1
 
 #: Hard per-frame ceiling.  A sweep submission carries every cell's full
 #: config tree and a sweep result carries every report, so frames are
@@ -249,17 +246,30 @@ class FrameCodec:
         return None
 
 
+def finish_handshake(codec: FrameCodec, line: bytes, nonce: str) -> None:
+    """Connector side: check the listener's reply to our hello (sent with
+    ``nonce``) and bind the session; raises :class:`FleetAuthError` on a
+    rejection and ``ConnectionError`` when the listener hung up."""
+    if not line:
+        raise ConnectionError("coordinator closed during handshake")
+    rejection = FrameCodec.is_rejection(line)
+    if rejection is not None:
+        message = rejection.get("error", {}).get("message", "auth failed")
+        raise FleetAuthError(f"coordinator rejected handshake: {message}")
+    codec.open_welcome(line, nonce, DIR_TO_COORDINATOR, DIR_FROM_COORDINATOR)
+
+
 __all__ = [
     "DIR_FROM_COORDINATOR",
     "DIR_HELLO",
     "DIR_TO_COORDINATOR",
-    "FLEET_PROTOCOL",
     "FleetAuthError",
     "FrameCodec",
     "FrameError",
     "MAX_FRAME_BYTES",
     "MIN_KEY_BYTES",
     "compute_mac",
+    "finish_handshake",
     "load_auth_key",
     "make_nonce",
 ]

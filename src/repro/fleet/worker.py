@@ -32,20 +32,18 @@ import os
 import socket
 import time
 from functools import partial
-from typing import Any
 
 from repro.runner.jobs import execute_job
 from repro.runner.serialize import report_to_dict
-from repro.runner.trace_store import TraceStore, default_trace_store
+from repro.runner.trace_store import default_trace_store
+from repro.service import protocol
 
-from repro.fleet import protocol
 from repro.fleet.wire import (
-    DIR_FROM_COORDINATOR,
-    DIR_TO_COORDINATOR,
     FleetAuthError,
     FrameCodec,
     FrameError,
     MAX_FRAME_BYTES,
+    finish_handshake,
     make_nonce,
 )
 
@@ -53,19 +51,7 @@ from repro.fleet.wire import (
 DEFAULT_HEARTBEAT_S = 2.0
 
 #: Reconnect backoff schedule after transient connection loss.
-DEFAULT_RECONNECT_DELAYS = (0.5, 1.0, 2.0, 4.0)
-
-
-class _Assignment:
-    """One leased work unit as the worker sees it."""
-
-    __slots__ = ("unit_id", "epoch", "cells", "released")
-
-    def __init__(self, unit_id: str, epoch: int, cells: list[dict]) -> None:
-        self.unit_id = unit_id
-        self.epoch = epoch
-        self.cells = cells
-        self.released = False
+RECONNECT_DELAYS = (0.5, 1.0, 2.0, 4.0)
 
 
 class FleetWorker:
@@ -84,21 +70,20 @@ class FleetWorker:
         *,
         name: str | None = None,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        trace_store: TraceStore | None = None,
     ) -> None:
         self.host = host
         self.port = port
         self.key = key
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.heartbeat_s = heartbeat_s
-        self.trace_store = trace_store if trace_store is not None else default_trace_store()
+        self.trace_store = default_trace_store()
         self.cells_done = 0
         self.units_done = 0
         self.shutdown_seen = False
         self._codec: FrameCodec | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._send_lock = asyncio.Lock()
-        self._assignments: dict[str, _Assignment] = {}
+        self._released: set[str] = set()  # units to abandon at the next cell boundary
         self._unit_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
@@ -115,16 +100,7 @@ class FleetWorker:
             nonce = make_nonce()
             writer.write(codec.seal_hello(protocol.hello_body("worker", self.name, nonce)))
             await writer.drain()
-            line = await reader.readline()
-            if not line:
-                raise ConnectionError("coordinator closed during handshake")
-            rejection = FrameCodec.is_rejection(line)
-            if rejection is not None:
-                error = rejection.get("error", {})
-                raise FleetAuthError(
-                    f"coordinator rejected handshake: {error.get('message', 'auth failed')}"
-                )
-            codec.open_welcome(line, nonce, DIR_TO_COORDINATOR, DIR_FROM_COORDINATOR)
+            finish_handshake(codec, await reader.readline(), nonce)
             heartbeat = asyncio.ensure_future(self._heartbeat_loop())
             try:
                 await self._serve(reader)
@@ -154,9 +130,7 @@ class FleetWorker:
             if op == "assign":
                 self._start_unit(body)
             elif op == "release":
-                assignment = self._assignments.get(body.get("unit", ""))
-                if assignment is not None:
-                    assignment.released = True
+                self._released.add(body.get("unit"))
             elif op == "shutdown":
                 self.shutdown_seen = True
                 return
@@ -185,22 +159,17 @@ class FleetWorker:
     # Unit execution
     # ------------------------------------------------------------------
     def _start_unit(self, body: dict) -> None:
-        cells = body.get("cells")
-        unit_id = body.get("unit")
-        if not isinstance(cells, list) or not isinstance(unit_id, str):
-            return
-        assignment = _Assignment(unit_id, body.get("epoch", 0), cells)
-        self._assignments[unit_id] = assignment
-        task = asyncio.ensure_future(self._run_unit(assignment))
-        task.set_name(f"fleet-unit-{unit_id}")
-        self._unit_tasks.add(task)
-        task.add_done_callback(self._unit_tasks.discard)
+        cells, unit_id = body.get("cells"), body.get("unit")
+        if isinstance(cells, list) and isinstance(unit_id, str):
+            task = asyncio.ensure_future(self._run_unit(unit_id, cells))
+            self._unit_tasks.add(task)
+            task.add_done_callback(self._unit_tasks.discard)
 
-    async def _run_unit(self, assignment: _Assignment) -> None:
+    async def _run_unit(self, unit_id: str, cells: list[dict]) -> None:
         loop = asyncio.get_running_loop()
         try:
-            for entry in assignment.cells:
-                if assignment.released:
+            for entry in cells:
+                if unit_id in self._released:
                     break
                 index, cell = entry["index"], entry["job"]
                 try:
@@ -214,57 +183,40 @@ class FleetWorker:
                     await self._send(
                         {
                             "op": "unit_failed",
-                            "unit": assignment.unit_id,
-                            "epoch": assignment.epoch,
+                            "unit": unit_id,
                             "cell": index,
                             "message": f"{type(exc).__name__}: {exc}",
                         }
                     )
                     return
-                if assignment.released:
+                if unit_id in self._released:
                     break
                 await self._send(
                     {
                         "op": "result",
-                        "unit": assignment.unit_id,
-                        "epoch": assignment.epoch,
+                        "unit": unit_id,
                         "cell": index,
                         "report": report_to_dict(report),
                     }
                 )
                 self.cells_done += 1
-            if not assignment.released:
-                await self._send(
-                    {"op": "unit_done", "unit": assignment.unit_id, "epoch": assignment.epoch}
-                )
+            if unit_id not in self._released:
+                await self._send({"op": "unit_done", "unit": unit_id})
                 self.units_done += 1
         except (ConnectionError, OSError):
             return  # the serve loop notices and handles reconnection
         finally:
-            self._assignments.pop(assignment.unit_id, None)
+            self._released.discard(unit_id)
 
 
-async def _run_worker_async(
-    key: bytes,
-    host: str,
-    port: int,
-    *,
-    name: str | None,
-    heartbeat_s: float,
-    reconnect_delays: tuple[float, ...],
-    trace_store: TraceStore | None = None,
-) -> int:
-    delays = list(reconnect_delays)
+async def _serve_with_reconnects(worker: FleetWorker) -> int:
+    """Run sessions until shutdown; back off and redial after transient loss."""
     attempt = 0
-    store = trace_store if trace_store is not None else default_trace_store()
     while True:
-        worker = FleetWorker(
-            host, port, key, name=name, heartbeat_s=heartbeat_s, trace_store=store
-        )
         started = time.monotonic()
         try:
             print(
-                f"repro-sim fleet worker {worker.name}: connecting to {host}:{port}",
+                f"repro-sim fleet worker {worker.name}: connecting to {worker.host}:{worker.port}",
                 flush=True,
             )
             await worker.run()
@@ -275,12 +227,12 @@ async def _run_worker_async(
             print(f"repro-sim fleet worker: protocol error: {exc}", flush=True)
             return 1
         except (ConnectionError, OSError) as exc:
-            if time.monotonic() - started > 2 * max(delays, default=1.0):
+            if time.monotonic() - started > 2 * max(RECONNECT_DELAYS):
                 attempt = 0  # a session that lasted a while resets the backoff
-            if attempt >= len(delays):
+            if attempt >= len(RECONNECT_DELAYS):
                 print(f"repro-sim fleet worker: giving up: {exc}", flush=True)
                 return 1
-            delay = delays[attempt]
+            delay = RECONNECT_DELAYS[attempt]
             attempt += 1
             print(
                 f"repro-sim fleet worker: connection lost ({exc}); "
@@ -304,29 +256,18 @@ def run_worker(
     *,
     name: str | None = None,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-    reconnect_delays: tuple[float, ...] = DEFAULT_RECONNECT_DELAYS,
-    trace_store: TraceStore | None = None,
 ) -> int:
     """Blocking CLI entry: serve the coordinator until shutdown."""
+    worker = FleetWorker(host, port, key, name=name, heartbeat_s=heartbeat_s)
     try:
-        return asyncio.run(
-            _run_worker_async(
-                key,
-                host,
-                port,
-                name=name,
-                heartbeat_s=heartbeat_s,
-                reconnect_delays=reconnect_delays,
-                trace_store=trace_store,
-            )
-        )
+        return asyncio.run(_serve_with_reconnects(worker))
     except KeyboardInterrupt:
         return 0
 
 
 __all__ = [
     "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_RECONNECT_DELAYS",
+    "RECONNECT_DELAYS",
     "FleetWorker",
     "run_worker",
 ]

@@ -44,8 +44,8 @@ KNOWN_NAMESPACES = frozenset(
         "engine",   # event-engine push/pop/cancel profile
         "cache",    # sweep-runner cache activity
         "trace",    # trace-store reuse (runner-side; never in a report)
-        "service",  # simulation-service scheduler (server-side; never in a report)
-        "fleet",    # fleet coordinator/worker activity (control-plane; never in a report)
+        "service",  # dispatcher admission, queue, units, latency (either front; never in a report)
+        "fleet",    # TCP front worker and lease events (coordinator only; never in a report)
         "profile",  # reserved for wall-clock phase profiling
     }
 )

@@ -75,6 +75,9 @@ class SweepError(RuntimeError):
 #: time saved (measured on the BENCH grid; see docs/PERFORMANCE.md).
 AUTO_PARALLEL_MIN_CELLS = 4
 
+#: Ceiling of the exponential retry backoff, seconds.
+RETRY_BACKOFF_MAX_S = 2.0
+
 
 def available_cpus() -> int:
     """CPUs this process may actually run on.
@@ -193,22 +196,20 @@ class SweepRunner:
     ``retries``      extra serial attempts per cell after its first failure
     ``retry_backoff``       base sleep (seconds) before the first retry of a
                             cell; doubles per attempt up to
-                            ``retry_backoff_max``.  A small deterministic
+                            :data:`RETRY_BACKOFF_MAX_S`.  A small deterministic
                             jitter derived from the cell description is
                             added so simultaneous sweeps retrying against a
                             shared resource (disk cache, trace store) don't
                             stampede in lockstep.  0 disables sleeping.
-    ``mode``         ``"auto"`` (default) / ``"serial"`` / ``"parallel"`` /
-                     ``"fleet"``; auto picks serial for small grids and
-                     single-CPU hosts and never picks fleet — distributing
-                     is an explicit operator decision
+    ``mode``         ``"auto"`` (default) / ``"serial"`` / ``"parallel"``;
+                     auto picks serial for small grids and single-CPU hosts
     ``trace_store``  :class:`TraceStore` for cross-scheme trace sharing;
                      None builds :func:`default_trace_store` on first use
-    ``fleet_addr``   ``host:port`` of a fleet coordinator; required when
-                     ``mode="fleet"``
+    ``fleet_addr``   ``host:port`` of a fleet coordinator; when set, the
+                     pending registry cells go there as one ``sweep``
+                     (the effective mode is then ``"fleet"``)
     ``fleet_key``    the fleet's shared secret; None resolves
                      ``REPRO_FLEET_KEY`` on first use
-    ``fleet_priority``  admission class for fleet submissions
     """
 
     jobs: int | None = None
@@ -216,12 +217,10 @@ class SweepRunner:
     timeout: float | None = None
     retries: int = 1
     retry_backoff: float = 0.05
-    retry_backoff_max: float = 2.0
     mode: str = "auto"
     trace_store: TraceStore | None = None
     fleet_addr: str | None = None
     fleet_key: bytes | None = None
-    fleet_priority: str = "normal"
     stats: SweepStats = field(default_factory=SweepStats)
     #: runner-scoped telemetry: ``trace.reused`` / ``trace.store_hits``
     #: counters accumulate here across ``run_jobs`` calls.  Deliberately
@@ -232,10 +231,8 @@ class SweepRunner:
 
     def run_jobs(self, sweep_jobs: Sequence[SweepJob]) -> list[SimulationReport]:
         """Execute every cell and return reports in input order."""
-        if self.mode not in ("auto", "serial", "parallel", "fleet"):
+        if self.mode not in ("auto", "serial", "parallel"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if self.mode == "fleet" and not self.fleet_addr:
-            raise ValueError('mode="fleet" requires fleet_addr (host:port)')
         if self.trace_store is None:
             self.trace_store = default_trace_store()
         n_workers = resolve_jobs(self.jobs)
@@ -263,7 +260,7 @@ class SweepRunner:
         if self.stats.mode == "parallel":
             self._run_parallel(pending, unique, n_workers)
         elif self.stats.mode == "fleet":
-            self._run_fleet(pending, unique)
+            self._run_remote(pending, unique)
 
         for job in pending:
             if unique[job] is None:
@@ -285,6 +282,8 @@ class SweepRunner:
 
     def _resolve_mode(self, n_workers: int, n_pending: int) -> str:
         """Pick the effective execution mode for this run."""
+        if self.fleet_addr:
+            return "fleet"
         if self.mode != "auto":
             return self.mode
         if n_workers <= 1 or available_cpus() <= 1:
@@ -384,40 +383,45 @@ class SweepRunner:
                     except (OSError, ValueError, AssertionError):
                         pass
 
-    def _run_fleet(
+    def _run_remote(
         self,
         pending: list[SweepJob],
         results: dict[SweepJob, SimulationReport | None],
     ) -> None:
-        """Submit dispatchable cells to the fleet coordinator.
+        """Submit dispatchable cells to the coordinator at ``fleet_addr``.
 
-        An unreachable coordinator or a fleet-side sweep failure leaves
-        the cells as None — the caller's serial loop rescues them locally
-        (counted in ``stats.fallbacks``).  Authentication failures raise:
-        a misconfigured key must be loud, not silently slow.
+        One ``sweep`` request; a ``queue_full`` answer is retried after
+        its ``retry_after_s``.  An unreachable coordinator or any other
+        structured failure leaves the cells as None — the caller's serial
+        loop rescues them locally (counted in ``stats.fallbacks``).  A
+        rejected key raises: a misconfigured key must be loud, not
+        silently slow.
         """
-        # Imported lazily: repro.fleet imports this module.
-        from repro.fleet.client import FleetClient, FleetError
+        # Imported lazily: the service and fleet packages import this module.
         from repro.fleet.wire import load_auth_key
+        from repro.service.client import ServiceClient, ServiceUnavailable
 
         dispatchable = [job for job in pending if is_registry_spec(job.spec)]
         if not dispatchable:
             return
         key = self.fleet_key if self.fleet_key is not None else load_auth_key()
+        started = perf_counter()
         try:
-            started = perf_counter()
-            with FleetClient(self.fleet_addr, key) as client:
-                reports = client.sweep(
-                    dispatchable, priority=self.fleet_priority, timeout_s=self.timeout
-                )
-            self.stats.ipc_s += perf_counter() - started
-        except FleetError as exc:
+            with ServiceClient(self.fleet_addr, self.timeout, key=key) as client:
+                response = client.sweep(dispatchable)
+                while response.get("error", {}).get("code") == "queue_full":
+                    sleep(response["error"]["retry_after_s"])
+                    response = client.sweep(dispatchable)
+        except ServiceUnavailable as exc:
             if exc.code == "auth_failed":
                 raise
+            response = {"ok": False}
+        if not response.get("ok"):
             self.stats.fallbacks += len(dispatchable)
             return
-        for job, report in zip(dispatchable, reports):
-            results[job] = report
+        self.stats.ipc_s += perf_counter() - started
+        for job, blob in zip(dispatchable, response["reports"]):
+            results[job] = report_from_dict(blob)
         self.stats.fleet_runs += len(dispatchable)
 
     def _run_cell(self, job: SweepJob) -> SimulationReport:
@@ -441,13 +445,13 @@ class SweepRunner:
     def _retry_delay(self, job: SweepJob, attempt: int) -> float:
         """Exponential backoff with deterministic, cell-derived jitter.
 
-        ``base * 2**attempt`` capped at ``retry_backoff_max``, plus up to
+        ``base * 2**attempt`` capped at :data:`RETRY_BACKOFF_MAX_S`, plus up to
         25% jitter seeded from sha256 of ``"{cell}:{attempt}"`` — stable
         across runs (no wall-clock entropy) but decorrelated across cells.
         """
         if self.retry_backoff <= 0:
             return 0.0
-        delay = min(self.retry_backoff * (2**attempt), self.retry_backoff_max)
+        delay = min(self.retry_backoff * (2**attempt), RETRY_BACKOFF_MAX_S)
         digest = hashlib.sha256(f"{job.describe()}:{attempt}".encode()).digest()
         jitter = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF
         return delay * (1.0 + 0.25 * jitter)
@@ -505,6 +509,7 @@ class SweepRunner:
 
 __all__ = [
     "AUTO_PARALLEL_MIN_CELLS",
+    "RETRY_BACKOFF_MAX_S",
     "SweepRunner",
     "SweepStats",
     "SweepError",

@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: a long-lived queued front door for sweeps.
+"""The control plane: one dispatcher behind a Unix-socket front door.
 
 Everything built for one-shot sweeps — the result cache, the trace
 store, process-pool fan-out, telemetry — behind a socket server so many
@@ -8,13 +8,13 @@ clients can share one warm scheduler::
     repro-sim submit fir --scheme batching \\
         --socket /tmp/repro.sock                      # a client
 
-Modules: :mod:`~repro.service.protocol` (NDJSON wire schema),
-:mod:`~repro.service.scheduler` (admission queue, single-flight dedup,
-trace-key batching, fairness, deadlines, drain),
-:mod:`~repro.service.server` (asyncio socket front end),
-:mod:`~repro.service.client` (blocking client).  The full contract —
-scheduling policy, backpressure, determinism — is documented in
-``docs/SERVICE.md``.
+Modules: :mod:`~repro.service.protocol` (the one wire schema),
+:mod:`~repro.service.scheduler` (the dispatcher: admission, dedup,
+trace-key units, fairness, deadlines, sweeps, drain),
+:mod:`~repro.service.server` (asyncio Unix-socket front end),
+:mod:`~repro.service.client` (the blocking client for either front).
+The TCP front and its leased workers live in :mod:`repro.fleet`.  The
+full contract is documented in ``docs/SERVICE.md``.
 """
 
 from repro.service.client import ServiceClient, ServiceUnavailable

@@ -1,9 +1,8 @@
-"""Priority-class fair queuing shared by the service scheduler and the fleet.
+"""Priority-class fair queuing for the dispatcher's admission queue.
 
-One admission-queue policy, two consumers: the Unix-socket simulation
-service (``repro-sim serve``) drains client submissions through it, and
-the fleet coordinator (``repro-sim fleet coordinator``) drains sweep work
-units through the very same class.  The policy:
+The one dispatcher (:mod:`repro.service.scheduler`) behind both fronts —
+``repro-sim serve`` and ``repro-sim fleet coordinator`` — drains every
+admitted execution through one instance of this class.  The policy:
 
 * **strict priority across classes** — while any ``high`` item is queued,
   no ``normal`` or ``low`` item is dispatched (and likewise ``normal``

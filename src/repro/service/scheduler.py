@@ -1,10 +1,11 @@
-"""Async admission queue and dedup scheduler over :class:`SweepRunner`.
+"""The control plane's one dispatcher: admission, dedup, units, executors.
 
-:class:`SimulationService` is the long-lived core behind ``repro-sim
-serve``: an asyncio front end that turns independent client submissions
-into the same batched, cached, trace-sharing execution a one-shot sweep
-gets from :class:`~repro.runner.sweep.SweepRunner`.  The scheduling policy
-(full rationale in ``docs/SERVICE.md``):
+:class:`SimulationService` is the core behind both fronts — ``repro-sim
+serve`` (Unix socket) and ``repro-sim fleet coordinator`` (TCP).  It
+turns independent client submissions into the same batched, cached,
+trace-sharing execution a one-shot sweep gets from
+:class:`~repro.runner.sweep.SweepRunner`.  The policy (full rationale in
+``docs/SERVICE.md``):
 
 * **cache short-circuit** — a submission whose
   :func:`~repro.runner.jobs.job_key` is already in the
@@ -16,48 +17,50 @@ gets from :class:`~repro.runner.sweep.SweepRunner`.  The scheduling policy
 * **bounded admission with explicit backpressure** — at most ``max_queue``
   executions may be queued; past that, submissions are rejected with a
   structured ``queue_full`` error carrying ``retry_after_s`` (an EWMA of
-  recent batch wall time), never dropped silently;
-* **priority classes with per-client fairness** — admission runs through
-  the shared :class:`~repro.service.queues.PriorityRoundRobin`: strict
-  priority across the ``high`` / ``normal`` / ``low`` classes, round-robin
-  across clients within a class, FIFO within a client — so an interactive
-  client outranks the weekly bulk sweep by declaring ``high``, and one
-  bulk submitter still cannot starve another client of its own class;
-* **trace-key batching** — when an execution is dispatched, every queued
+  recent unit wall time), never dropped silently.  A multi-cell
+  ``sweep`` is admitted whole while the queue has room, so one large
+  sweep is never unadmittable;
+* **priority classes with per-client fairness** — one
+  :class:`~repro.service.queues.PriorityRoundRobin`: strict priority
+  across ``high`` / ``normal`` / ``low``, round-robin across clients
+  within a class, FIFO within a client;
+* **trace-key units** — when an execution is dispatched, every queued
   execution sharing its :func:`~repro.runner.trace_store.job_trace_key`
-  rides along in the same batch (exactly the grouping
-  ``SweepRunner._group_by_trace`` applies), so cells that differ only in
-  scheme replay one generated trace;
+  rides along in the same unit, so cells that differ only in scheme
+  replay one generated trace;
 * **cancellation and deadlines** — a queued ticket cancels instantly; an
   in-flight ticket detaches (the simulation completes and warms the cache
-  for the next asker).  A ``deadline_s`` submission whose deadline lapses
-  resolves with a structured ``deadline_exceeded`` error, never a hang;
+  for the next asker).  A lapsed ``deadline_s`` resolves with a
+  structured ``deadline_exceeded`` error, never a hang;
+* **ordered merge** — :meth:`SimulationService.sweep` admits every cell
+  and returns the reports in input order, failing fast with the first
+  failed cell's structured error;
 * **graceful drain** — :meth:`drain` stops admission (``draining``
   rejections) and completes every admitted execution before returning.
 
-Batches run on a single worker thread (``run_jobs`` is synchronous and
-the runner's stats are not thread-safe); parallelism *within* a batch is
-the runner's own process pool, governed by ``jobs``.  Because every
-report is produced by the same ``SweepRunner.run_jobs`` path a direct CLI
-invocation uses, a served report is byte-identical (canonical JSON) to
-the same cell run directly — the determinism contract ``tests/
-test_service.py`` asserts.
+Units run on an **executor**.  :class:`LocalExecutor` (the default) runs
+one unit at a time on a worker thread through ``SweepRunner.run_jobs``
+(its process pool parallelizes within the unit); the fleet coordinator
+installs its leased TCP worker pool instead
+(:class:`~repro.fleet.coordinator.FleetCoordinator`).  Either way every
+report comes from the same ``execute_job`` path a direct run uses, so a
+served report is byte-identical (canonical JSON) to the same cell run
+directly.
 
-Scheduler health is observable through the ``service.*`` namespace on
-:attr:`SimulationService.telemetry` (queue-depth gauge, admission /
-rejection / coalescing / serving counters, queue and batch latency
-histograms); ``repro-sim status --metrics`` exports it from a live
-server in the standard format ``repro-sim metrics dump`` reads.
+Dispatcher health is observable through the ``service.*`` namespace on
+:attr:`SimulationService.telemetry`; ``repro-sim status --metrics``
+exports it from a live server.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.configs import scheme_config
 from repro.obs import Telemetry
@@ -114,7 +117,7 @@ class Ticket:
     submitted_at: float = field(default_factory=perf_counter)
     deadline_handle: asyncio.TimerHandle | None = None
     report: SimulationReport | None = None
-    execution: "_Execution | None" = None
+    execution: "Execution | None" = None
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -129,10 +132,15 @@ class Ticket:
         }
 
 
-class _Execution:
-    """One unit of simulation work and the tickets subscribed to it."""
+class Execution:
+    """One distinct cell of simulation work and the tickets subscribed to it.
 
-    __slots__ = ("job", "key", "trace_key", "client", "priority", "tickets", "state")
+    ``state`` is ``queued`` -> ``running`` -> ``done`` | ``failed``; an
+    executor that loses a worker puts it back to ``queued``.  ``attempts``
+    counts such requeues (bounded by the fleet's retry limit).
+    """
+
+    __slots__ = ("job", "key", "trace_key", "client", "priority", "tickets", "state", "attempts")
 
     def __init__(
         self, job: SweepJob, key: object, client: str, priority: str = DEFAULT_PRIORITY
@@ -144,19 +152,79 @@ class _Execution:
         self.priority = priority  # admission class it waits at
         self.tickets: list[Ticket] = []
         self.state = "queued"
+        self.attempts = 0
 
     def live_tickets(self) -> list[Ticket]:
         return [t for t in self.tickets if not t.future.done()]
 
 
-class SimulationService:
-    """The async scheduler: admission, dedup, batching, fairness, drain.
+class LocalExecutor:
+    """Runs one unit at a time on a worker thread via ``SweepRunner.run_jobs``.
 
-    ``jobs`` / ``mode`` / ``cache`` configure the underlying
-    :class:`SweepRunner`; ``max_queue`` bounds admitted-but-unstarted
-    executions; ``run_batch`` (tests only) replaces the synchronous batch
-    executor.  Use as an async context manager, or call :meth:`start` /
-    :meth:`stop` explicitly from a running event loop.
+    ``run_jobs`` is synchronous and the runner's stats are not
+    thread-safe, hence one thread; parallelism *within* a unit is the
+    runner's own process pool, governed by ``jobs``.
+    """
+
+    def __init__(self, service: "SimulationService") -> None:
+        self.service = service
+        self._thread: ThreadPoolExecutor | None = None
+        self._task: asyncio.Task | None = None
+
+    async def open(self) -> None:
+        self._thread = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-service")
+
+    async def close(self) -> None:
+        if self._task is not None:
+            self._task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._task
+        if self._thread is not None:
+            self._thread.shutdown(wait=True, cancel_futures=True)
+            self._thread = None
+
+    def idle(self) -> bool:
+        return self._task is None
+
+    def busy(self) -> bool:
+        return self._task is not None
+
+    async def run(self, unit: list[Execution]) -> None:
+        self._task = asyncio.ensure_future(self._run(unit))
+
+    async def steal(self) -> None:
+        """One thread holds at most one unit: nothing to duplicate."""
+
+    def status(self) -> dict[str, Any]:
+        return {}
+
+    async def _run(self, unit: list[Execution]) -> None:
+        service = self.service
+        started = perf_counter()
+        try:
+            reports = await asyncio.get_running_loop().run_in_executor(
+                self._thread, service.runner.run_jobs, [e.job for e in unit]
+            )
+        except Exception as exc:
+            service.fail(unit, ServiceError("execution_failed", f"batch failed: {exc}"))
+        else:
+            service.record_batch(perf_counter() - started)
+            for execution, report in zip(unit, reports):
+                service.complete(execution, report)
+        finally:
+            self._task = None
+            service.wake()
+
+
+class SimulationService:
+    """The dispatcher: admission, dedup, units, fairness, sweeps, drain.
+
+    ``jobs`` / ``cache`` / ``fleet_addr`` / ``fleet_key`` configure the
+    :class:`SweepRunner` the local executor runs units on (with
+    ``fleet_addr`` that runner forwards them to a fleet coordinator);
+    ``max_queue`` bounds admitted-but-unstarted executions.  Use as an
+    async context manager, or call :meth:`start` / :meth:`stop`
+    explicitly from a running event loop.
     """
 
     def __init__(
@@ -165,31 +233,22 @@ class SimulationService:
         jobs: int | None = None,
         cache: ResultCache | None = None,
         max_queue: int = 64,
-        mode: str = "auto",
         fleet_addr: str | None = None,
         fleet_key: bytes | None = None,
-        run_batch: Callable[[list[SweepJob]], list[SimulationReport]] | None = None,
     ) -> None:
-        if fleet_addr is not None:
-            mode = "fleet"
-        self.runner = SweepRunner(
-            jobs=jobs, cache=cache, mode=mode, fleet_addr=fleet_addr, fleet_key=fleet_key
-        )
+        self.runner = SweepRunner(jobs=jobs, cache=cache, fleet_addr=fleet_addr, fleet_key=fleet_key)
         self.cache = cache
         self.max_queue = max_queue
         self.telemetry = Telemetry()
-        self._run_batch = run_batch or self.runner.run_jobs
-        self._executor: ThreadPoolExecutor | None = None
+        # LocalExecutor, or the coordinator's leased pool (same methods)
+        self.executor: Any = LocalExecutor(self)
         self._dispatcher: asyncio.Task | None = None
         self._wake = asyncio.Event()
         self._drained = asyncio.Event()
         self._draining = False
         self._running = False
-        # admission state: strict priority classes, round-robin clients
-        # within each, FIFO per client (shared policy with the fleet).
         self._queue = PriorityRoundRobin()
-        self._inflight: dict[object, _Execution] = {}  # key -> queued/running execution
-        self._batch_in_flight = False
+        self._inflight: dict[object, Execution] = {}  # key -> queued/running execution
         # ticket registry (bounded history)
         self._tickets: dict[str, Ticket] = {}
         self._finished: deque[str] = deque()
@@ -205,14 +264,14 @@ class SimulationService:
         self._running = True
         self._draining = False
         self._drained.clear()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service"
-        )
+        await self.executor.open()
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
 
     async def stop(self) -> None:
-        """Hard stop: cancel the dispatcher, release the worker thread."""
+        """Hard stop: halt dispatch and the executor; every unresolved
+        ticket is answered ``draining`` so no waiter hangs."""
         self._running = False
+        self._draining = True
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -220,15 +279,17 @@ class SimulationService:
             except (asyncio.CancelledError, Exception):
                 pass
             self._dispatcher = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        await self.executor.close()
+        stopped = ServiceError("draining", "server stopped before the job finished")
+        for ticket in list(self._tickets.values()):
+            if not ticket.future.done():
+                self._reject(ticket, stopped, "failed")
 
     async def drain(self) -> None:
         """Stop admitting, finish every admitted execution, then return."""
         self._draining = True
-        self._wake.set()
-        if len(self._queue) == 0 and not self._batch_in_flight:
+        self.wake()
+        if len(self._queue) == 0 and not self.executor.busy():
             self._drained.set()
         await self._drained.wait()
 
@@ -243,9 +304,33 @@ class SimulationService:
     def draining(self) -> bool:
         return self._draining
 
+    def wake(self) -> None:
+        """Ask the dispatch loop for another pass (executors call this)."""
+        self._wake.set()
+
     # ------------------------------------------------------------------
     # Submission / cancellation / introspection
     # ------------------------------------------------------------------
+    def _gate(self, priority: str, cells: int) -> None:
+        """Checks every submission passes before any cell is admitted."""
+        if priority not in PRIORITIES:
+            raise ServiceError(
+                "bad_request",
+                f"unknown priority {priority!r}; choose from {', '.join(PRIORITIES)}",
+            )
+        self.telemetry.counter("service.submitted").add(cells)
+        if self._draining:
+            self.telemetry.counter("service.rejected").add(1)
+            raise ServiceError("draining", "server is draining; resubmit elsewhere/later")
+
+    def _queue_full(self) -> ServiceError:
+        self.telemetry.counter("service.rejected").add(1)
+        return ServiceError(
+            "queue_full",
+            f"admission queue is full ({self.max_queue} executions)",
+            retry_after_s=round(max(0.1, self._batch_ewma_s), 3),
+        )
+
     def submit(
         self,
         job: SweepJob,
@@ -260,28 +345,63 @@ class SimulationService:
         ``queue_full`` (both retryable rejections) or ``bad_request``
         for an unknown priority class.
         """
-        if priority not in PRIORITIES:
-            raise ServiceError(
-                "bad_request",
-                f"unknown priority {priority!r}; choose from {', '.join(PRIORITIES)}",
-            )
-        self.telemetry.counter("service.submitted").add(1)
-        loop = asyncio.get_running_loop()
+        self._gate(priority, 1)
+        return self._admit(job, client, priority, deadline_s, bounded=True)
+
+    def submit_spec(self, request: dict[str, Any]) -> Ticket:
+        """Admit a validated wire submission (see :func:`job_from_spec`)."""
+        return self.submit(
+            job_from_spec(request["job"]),
+            client=request.get("client", "anonymous"),
+            priority=request.get("priority", DEFAULT_PRIORITY),
+            deadline_s=request.get("deadline_s"),
+        )
+
+    async def sweep(
+        self,
+        jobs: Sequence[SweepJob],
+        *,
+        client: str = "anonymous",
+        priority: str = DEFAULT_PRIORITY,
+        deadline_s: float | None = None,
+    ) -> list[SimulationReport]:
+        """Admit every cell and return their reports in input order.
+
+        Raises the first failed cell's :class:`ServiceError` (in input
+        order) as soon as any cell fails; cells of the sweep still
+        outstanding at that point are cancelled.
+        """
+        self._gate(priority, len(jobs))
+        if not jobs:
+            return []
+        if len(self._queue) >= self.max_queue:
+            raise self._queue_full()
+        tickets = [self._admit(job, client, priority, deadline_s, bounded=False) for job in jobs]
+        try:
+            await asyncio.wait([t.future for t in tickets], return_when=asyncio.FIRST_EXCEPTION)
+            for ticket in tickets:
+                if ticket.future.done() and ticket.future.exception() is not None:
+                    raise ticket.future.exception()
+            return [ticket.future.result() for ticket in tickets]
+        finally:
+            for ticket in tickets:
+                if not ticket.future.done():
+                    self.cancel(ticket.job_id)
+
+    def _admit(
+        self, job: SweepJob, client: str, priority: str, deadline_s: float | None, bounded: bool
+    ) -> Ticket:
         ticket = Ticket(
             job_id=self._issue_id(),
             client=client,
             job=job,
-            future=loop.create_future(),
+            future=asyncio.get_running_loop().create_future(),
         )
         # A submission nobody awaits (wait=false, cancels, drains) must not
         # warn "exception was never retrieved" at teardown.
         ticket.future.add_done_callback(
             lambda f: f.exception() if not f.cancelled() else None
         )
-        if self._draining:
-            self.telemetry.counter("service.rejected").add(1)
-            raise ServiceError("draining", "server is draining; resubmit elsewhere/later")
-
         key: object = job_key(job)
         if key is None:
             key = job  # uncacheable cells still dedup structurally
@@ -299,39 +419,23 @@ class SimulationService:
             self.telemetry.counter("service.coalesced").add(1)
             ticket.source = "coalesced"
             ticket.state = execution.state
-            ticket.execution = execution
-            execution.tickets.append(ticket)
-            self._register(ticket)
-            self._arm_deadline(ticket, deadline_s, execution)
-            return ticket
-        # 3. bounded admission: reject-with-retry-after, never drop
-        if len(self._queue) >= self.max_queue:
-            self.telemetry.counter("service.rejected").add(1)
-            raise ServiceError(
-                "queue_full",
-                f"admission queue is full ({self.max_queue} executions)",
-                retry_after_s=round(max(0.1, self._batch_ewma_s), 3),
-            )
-        self.telemetry.counter("service.admitted").add(1)
-        execution = _Execution(job, key, client, priority)
+        else:
+            # 3. bounded admission: reject-with-retry-after, never drop
+            if bounded and len(self._queue) >= self.max_queue:
+                raise self._queue_full()
+            self.telemetry.counter("service.admitted").add(1)
+            execution = self._inflight[key] = Execution(job, key, client, priority)
+            self._queue.push(execution, client=client, priority=priority)
+            self._gauge_depth()
+            self.wake()
         ticket.execution = execution
         execution.tickets.append(ticket)
-        self._inflight[key] = execution
-        self._queue.push(execution, client=client, priority=priority)
-        self.telemetry.gauge("service.queue.depth").set(len(self._queue))
         self._register(ticket)
-        self._arm_deadline(ticket, deadline_s, execution)
-        self._wake.set()
+        if deadline_s is not None:
+            ticket.deadline_handle = asyncio.get_running_loop().call_later(
+                deadline_s, self._expire, ticket
+            )
         return ticket
-
-    def submit_spec(self, request: dict[str, Any]) -> Ticket:
-        """Admit a validated wire submission (see :func:`job_from_spec`)."""
-        return self.submit(
-            job_from_spec(request["job"]),
-            client=request.get("client", "anonymous"),
-            priority=request.get("priority", DEFAULT_PRIORITY),
-            deadline_s=request.get("deadline_s"),
-        )
 
     def cancel(self, job_id: str) -> str:
         """Cancel a submission; returns the ticket's resulting state.
@@ -353,7 +457,7 @@ class SimulationService:
         return ticket.state
 
     def status(self, job_id: str | None = None) -> dict[str, Any]:
-        """Queue snapshot, or one ticket's state when ``job_id`` is given."""
+        """Dispatcher snapshot, or one ticket's state when ``job_id`` is given."""
         if job_id is not None:
             ticket = self._tickets.get(job_id)
             if ticket is None:
@@ -372,11 +476,55 @@ class SimulationService:
                 for t in self._tickets.values()
                 if t.state in ("queued", "running")
             ],
+            **self.executor.status(),
         }
 
     def metrics_snapshot(self) -> dict[str, dict]:
-        """The ``service.*`` registry snapshot (deterministic, JSON-safe)."""
+        """The dispatcher's registry snapshot (deterministic, JSON-safe)."""
         return self.telemetry.snapshot()
+
+    # ------------------------------------------------------------------
+    # Executor callbacks
+    # ------------------------------------------------------------------
+    def complete(self, execution: Execution, report: SimulationReport) -> None:
+        """An executor produced ``execution``'s report."""
+        execution.state = "done"
+        self._inflight.pop(execution.key, None)
+        for ticket in execution.tickets:
+            if not ticket.future.done():
+                self._resolve(ticket, report)
+
+    def fail(self, executions: Sequence[Execution], error: ServiceError) -> None:
+        """An executor gave up on ``executions``."""
+        self.telemetry.counter("service.failed").add(len(executions))
+        for execution in executions:
+            execution.state = "failed"
+            self._inflight.pop(execution.key, None)
+            for ticket in execution.tickets:
+                if not ticket.future.done():
+                    self._reject(ticket, error, "failed")
+
+    def requeue(self, executions: Sequence[Execution]) -> None:
+        """Put executions an executor lost back in line (orphans are dropped)."""
+        for execution in executions:
+            if not execution.live_tickets():
+                execution.state = "failed"
+                self._inflight.pop(execution.key, None)
+                continue
+            execution.state = "queued"
+            for ticket in execution.live_tickets():
+                ticket.state = "queued"
+            self._queue.push(execution, client=execution.client, priority=execution.priority)
+        self._gauge_depth()
+        self.wake()
+
+    def record_batch(self, elapsed_s: float) -> None:
+        """One unit finished in ``elapsed_s`` of wall time."""
+        self._batch_ewma_s = 0.7 * self._batch_ewma_s + 0.3 * elapsed_s
+        self.telemetry.counter("service.batches").add(1)
+        self.telemetry.histogram("service.latency.run_ms", LATENCY_EDGES_MS).record(
+            elapsed_s * 1000.0
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -384,6 +532,9 @@ class SimulationService:
     def _issue_id(self) -> str:
         self._next_id += 1
         return f"j{self._next_id:06d}"
+
+    def _gauge_depth(self) -> None:
+        self.telemetry.gauge("service.queue.depth").set(len(self._queue))
 
     def _register(self, ticket: Ticket) -> None:
         self._tickets[ticket.job_id] = ticket
@@ -394,14 +545,6 @@ class SimulationService:
         self._finished.append(ticket.job_id)
         while len(self._finished) > HISTORY_LIMIT:
             self._tickets.pop(self._finished.popleft(), None)
-
-    def _arm_deadline(
-        self, ticket: Ticket, deadline_s: float | None, execution: _Execution
-    ) -> None:
-        if deadline_s is None:
-            return
-        loop = asyncio.get_running_loop()
-        ticket.deadline_handle = loop.call_later(deadline_s, self._expire, ticket)
 
     def _expire(self, ticket: Ticket) -> None:
         if ticket.future.done():
@@ -446,85 +589,52 @@ class SimulationService:
             return  # cache-hit tickets never joined an execution
         if execution.state == "queued" and not execution.live_tickets():
             if self._queue.remove(execution):
-                self.telemetry.gauge("service.queue.depth").set(len(self._queue))
+                self._gauge_depth()
             self._inflight.pop(execution.key, None)
             if self._draining:
-                self._wake.set()
+                self.wake()
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _take_batch(self) -> list[_Execution]:
+    def _take_unit(self) -> list[Execution]:
         """Next priority/round-robin execution plus every queued trace-key
         sibling (siblings ride along regardless of their class — the trace
         is loaded anyway, and a free ride cannot delay the head)."""
         head = self._queue.pop()
         if head is None:
             return []
-        batch = [head]
+        unit = [head]
         if head.trace_key is not None:
-            batch.extend(self._queue.take(lambda e: e.trace_key == head.trace_key))
-        self.telemetry.gauge("service.queue.depth").set(len(self._queue))
-        for execution in batch:
+            unit.extend(self._queue.take(lambda e: e.trace_key == head.trace_key))
+        self._gauge_depth()
+        for execution in unit:
             execution.state = "running"
-            for ticket in execution.tickets:
-                if not ticket.future.done():
-                    ticket.state = "running"
-        return batch
+            for ticket in execution.live_tickets():
+                ticket.state = "running"
+        return unit
 
     async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             await self._wake.wait()
             self._wake.clear()
-            while True:
-                batch = self._take_batch()
-                if not batch:
+            while self.executor.idle():
+                unit = self._take_unit()
+                if not unit:
+                    await self.executor.steal()
                     break
-                self._batch_in_flight = True
-                try:
-                    await self._execute(loop, batch)
-                finally:
-                    self._batch_in_flight = False
-            if self._draining and len(self._queue) == 0:
+                await self.executor.run(unit)
+            if self._draining and len(self._queue) == 0 and not self.executor.busy():
                 self._drained.set()
                 return
-
-    async def _execute(self, loop: asyncio.AbstractEventLoop, batch: list[_Execution]) -> None:
-        jobs = [execution.job for execution in batch]
-        started = perf_counter()
-        try:
-            reports = await loop.run_in_executor(self._executor, self._run_batch, jobs)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self.telemetry.counter("service.failed").add(len(batch))
-            failure = ServiceError("execution_failed", f"batch failed: {exc}")
-            for execution in batch:
-                execution.state = "failed"
-                del self._inflight[execution.key]
-                for ticket in execution.tickets:
-                    if not ticket.future.done():
-                        self._reject(ticket, failure, "failed")
-            return
-        elapsed = perf_counter() - started
-        self._batch_ewma_s = 0.7 * self._batch_ewma_s + 0.3 * elapsed
-        self.telemetry.counter("service.batches").add(1)
-        self.telemetry.histogram("service.latency.run_ms", LATENCY_EDGES_MS).record(
-            elapsed * 1000.0
-        )
-        for execution, report in zip(batch, reports):
-            execution.state = "done"
-            del self._inflight[execution.key]
-            for ticket in execution.tickets:
-                if not ticket.future.done():
-                    self._resolve(ticket, report)
 
 
 __all__ = [
     "HISTORY_LIMIT",
     "LATENCY_EDGES_MS",
     "TICKET_STATES",
+    "Execution",
+    "LocalExecutor",
     "ServiceError",
     "SimulationService",
     "Ticket",

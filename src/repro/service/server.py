@@ -1,13 +1,18 @@
-"""The ``repro-sim serve`` front door: NDJSON over a Unix domain socket.
+"""The ``repro-sim serve`` front door: canonical-JSON lines over a Unix socket.
 
 :class:`SimulationServer` accepts local stream connections, reads one
 JSON request per line, and answers one JSON response per line (schema in
 :mod:`repro.service.protocol`, reference in ``docs/SERVICE.md``).  A
-``submit`` with ``wait=true`` holds its connection open until the
-scheduler resolves the ticket and then returns the full report dict;
-``wait=false`` returns the job id immediately for later ``status``
-polling.  Connections are independent tasks, so a client waiting on a
-long simulation never blocks another client's ``status`` or ``cancel``.
+``submit`` with ``wait=true`` and every ``sweep`` hold the connection
+open until the dispatcher resolves them and then return the full report
+dicts; ``wait=false`` returns the job id immediately for later
+``status`` polling.  Connections are independent tasks, so a client
+waiting on a long simulation never blocks another client's ``status``
+or ``cancel``.
+
+:func:`answer` maps one request to one response; the fleet
+coordinator's TCP front calls it for its authenticated clients, so both
+fronts speak the same schema to the same dispatcher.
 
 :func:`run_server` is the blocking entry point the CLI calls: it builds
 the :class:`~repro.service.scheduler.SimulationService`, binds the
@@ -24,7 +29,7 @@ import contextlib
 import os
 import signal
 from pathlib import Path
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from repro.runner.serialize import report_to_dict
 
@@ -42,8 +47,61 @@ def _error_response(exc: ServiceError) -> dict[str, Any]:
     return protocol.error(exc.code, str(exc), **extra)
 
 
+async def answer(service: SimulationService, message: dict[str, Any]) -> dict[str, Any]:
+    """One validated request against ``service``; always a response, never a raise."""
+    try:
+        request = protocol.validate_request(message)
+        op = request["op"]
+        if op == "ping":
+            return protocol.ok(
+                server="repro-sim", protocol=protocol.PROTOCOL_VERSION, pid=os.getpid()
+            )
+        if op == "metrics":
+            return protocol.ok(metrics=service.metrics_snapshot())
+        if op == "status":
+            return protocol.ok(**service.status(request["job_id"]))
+        if op == "cancel":
+            return protocol.ok(job_id=request["job_id"], state=service.cancel(request["job_id"]))
+        if op == "sweep":
+            try:
+                jobs = [protocol.job_from_wire(cell) for cell in request["cells"]]
+            except KeyError as exc:
+                return protocol.error("unknown_workload", f"unknown workload {exc}")
+            reports = await service.sweep(
+                jobs,
+                client=request["client"],
+                priority=request["priority"],
+                deadline_s=request["deadline_s"],
+            )
+            return protocol.ok(reports=[report_to_dict(report) for report in reports])
+        try:
+            ticket = service.submit_spec(request)
+        except KeyError:
+            return protocol.error(
+                "unknown_workload", f"unknown workload {request['job']['workload']!r}"
+            )
+        if not request["wait"]:
+            return protocol.ok(job_id=ticket.job_id, state=ticket.state, source=ticket.source)
+        try:
+            report = await asyncio.shield(ticket.future)
+        except ServiceError as exc:
+            return {**_error_response(exc), "job_id": ticket.job_id}
+        return protocol.ok(
+            job_id=ticket.job_id,
+            state="done",
+            source=ticket.source,
+            report=report_to_dict(report),
+        )
+    except protocol.ProtocolError as exc:
+        return protocol.error("bad_request", str(exc))
+    except ServiceError as exc:
+        return _error_response(exc)
+    except Exception as exc:  # a handler bug must not kill the connection
+        return protocol.error("internal", f"{type(exc).__name__}: {exc}")
+
+
 class SimulationServer:
-    """Socket front end over one :class:`SimulationService`."""
+    """Unix-socket front end over one :class:`SimulationService`."""
 
     def __init__(self, service: SimulationService, socket_path: str | Path) -> None:
         self.service = service
@@ -58,7 +116,7 @@ class SimulationServer:
         if self.socket_path.exists():
             self.socket_path.unlink()  # stale socket from a killed server
         self._server = await asyncio.start_unix_server(
-            self._handle, path=str(self.socket_path)
+            self._handle, path=str(self.socket_path), limit=protocol.MAX_LINE_BYTES
         )
 
     async def drain_and_stop(self, settle_s: float = 5.0) -> None:
@@ -81,9 +139,6 @@ class SimulationServer:
         with contextlib.suppress(OSError):
             self.socket_path.unlink()
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -95,7 +150,10 @@ class SimulationServer:
                     break
                 self._busy += 1
                 try:
-                    response = await self._respond(line)
+                    try:
+                        response = await answer(self.service, protocol.decode(line))
+                    except protocol.ProtocolError as exc:
+                        response = protocol.error("bad_request", str(exc))
                 finally:
                     self._busy -= 1
                 writer.write(protocol.encode(response))
@@ -107,73 +165,30 @@ class SimulationServer:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _respond(self, line: bytes) -> dict[str, Any]:
-        try:
-            request = protocol.validate_request(protocol.decode(line))
-        except protocol.ProtocolError as exc:
-            return protocol.error("bad_request", str(exc))
-        try:
-            return await self._dispatch(request)
-        except ServiceError as exc:
-            return _error_response(exc)
-        except Exception as exc:  # a handler bug must not kill the connection
-            return protocol.error("internal", f"{type(exc).__name__}: {exc}")
 
-    async def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = request["op"]
-        if op == "ping":
-            return protocol.ok(
-                server="repro-sim", protocol=protocol.PROTOCOL_VERSION, pid=os.getpid()
-            )
-        if op == "metrics":
-            return protocol.ok(metrics=self.service.metrics_snapshot())
-        if op == "status":
-            return protocol.ok(**self.service.status(request.get("job_id")))
-        if op == "cancel":
-            state = self.service.cancel(request["job_id"])
-            return protocol.ok(job_id=request["job_id"], state=state)
-        assert op == "submit", f"unhandled op {op!r}"
-        try:
-            ticket = self.service.submit_spec(request)
-        except KeyError:
-            return protocol.error(
-                "unknown_workload",
-                f"unknown workload {request['job']['workload']!r}",
-            )
-        if not request["wait"]:
-            return protocol.ok(job_id=ticket.job_id, state=ticket.state, source=ticket.source)
-        try:
-            report = await asyncio.shield(ticket.future)
-        except ServiceError as exc:
-            response = _error_response(exc)
-            response["job_id"] = ticket.job_id
-            return response
-        return protocol.ok(
-            job_id=ticket.job_id,
-            state="done",
-            source=ticket.source,
-            report=report_to_dict(report),
-        )
-
-
-async def _serve(socket_path: str | Path, service: SimulationService) -> int:
-    server = SimulationServer(service, socket_path)
-    await server.start()
+async def serve_until_signalled(
+    start: Callable[[], Awaitable[None]],
+    stop: Callable[[], Awaitable[None]],
+    banner: Callable[[], str],
+    name: str,
+) -> int:
+    """Start a front, print ``banner()``, and on SIGTERM/SIGINT run ``stop``."""
+    await start()
     loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
+    signalled = asyncio.Event()
     installed: list[signal.Signals] = []
     for sig in (signal.SIGTERM, signal.SIGINT):
         try:
-            loop.add_signal_handler(sig, stop.set)
+            loop.add_signal_handler(sig, signalled.set)
             installed.append(sig)
         except (NotImplementedError, RuntimeError):
             pass  # non-unix event loop; rely on KeyboardInterrupt
-    print(f"repro-sim serve: listening on {server.socket_path} (pid {os.getpid()})", flush=True)
+    print(f"{name}: {banner()} (pid {os.getpid()})", flush=True)
     try:
-        await stop.wait()
-        print("repro-sim serve: draining...", flush=True)
-        await server.drain_and_stop()
-        print("repro-sim serve: drained, bye", flush=True)
+        await signalled.wait()
+        print(f"{name}: draining...", flush=True)
+        await stop()
+        print(f"{name}: drained, bye", flush=True)
     finally:
         for sig in installed:
             loop.remove_signal_handler(sig)
@@ -186,28 +201,30 @@ def run_server(
     jobs: int | None = None,
     max_queue: int = 64,
     cache=None,
-    mode: str = "auto",
     fleet_addr: str | None = None,
     fleet_key: bytes | None = None,
 ) -> int:
     """Blocking entry point: serve until SIGTERM/SIGINT, drain, exit 0.
 
-    With ``fleet_addr`` the service delegates batch execution to a fleet
-    coordinator (falling back to local serial execution when the fleet is
+    With ``fleet_addr`` the service's runner forwards each unit to a
+    fleet coordinator (falling back to local execution when the fleet is
     unreachable) — the local socket API is unchanged.
     """
     service = SimulationService(
-        jobs=jobs,
-        cache=cache,
-        max_queue=max_queue,
-        mode=mode,
-        fleet_addr=fleet_addr,
-        fleet_key=fleet_key,
+        jobs=jobs, cache=cache, max_queue=max_queue, fleet_addr=fleet_addr, fleet_key=fleet_key
     )
+    server = SimulationServer(service, socket_path or DEFAULT_SOCKET)
     try:
-        return asyncio.run(_serve(socket_path or DEFAULT_SOCKET, service))
+        return asyncio.run(
+            serve_until_signalled(
+                server.start,
+                server.drain_and_stop,
+                lambda: f"listening on {server.socket_path}",
+                "repro-sim serve",
+            )
+        )
     except KeyboardInterrupt:
         return 0
 
 
-__all__ = ["DEFAULT_SOCKET", "SimulationServer", "run_server"]
+__all__ = ["DEFAULT_SOCKET", "SimulationServer", "answer", "run_server", "serve_until_signalled"]

@@ -1,10 +1,12 @@
-"""Tests for the distributed sweep fleet: wire auth, protocol, failover.
+"""Tests for the TCP front of the control plane: wire auth, cells, failover.
 
-The load-bearing contracts (``docs/FLEET.md``):
+The load-bearing contracts (``docs/SERVICE.md``):
 
-* a sweep served by the fleet is **byte-identical** (canonical JSON) to
-  the same cells run directly through ``SweepRunner`` — through real TCP
-  sockets, multiple workers, and a worker death mid-sweep;
+* a sweep served by the coordinator is **byte-identical** (canonical
+  JSON) to the same cells run directly through ``SweepRunner`` — through
+  real TCP sockets and a worker death mid-sweep (the healthy-path
+  identity over every front is ``tests/test_service.py``'s parametrized
+  test);
 * every frame is **HMAC-authenticated and replay-protected**: a wrong
   key is a structured ``auth_failed``, a replayed or reordered frame
   hangs up the connection, a frame never validates across sessions;
@@ -16,25 +18,27 @@ The load-bearing contracts (``docs/FLEET.md``):
   ``retries_exhausted``, never a hang.
 
 Coordinator tests drive everything inside ``asyncio.run`` over real
-loopback sockets; the blocking ``FleetClient`` runs in an executor.
+loopback sockets; the blocking ``ServiceClient`` runs in an executor.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
 from repro.configs import scheme_config
 from repro.runner import SweepJob, SweepRunner
-from repro.runner.trace_store import TraceStore, trace_key
+from repro.runner.trace_store import job_trace_key, trace_key
+from repro.service import protocol as fproto
+from repro.service.client import ServiceClient, ServiceUnavailable, parse_addr
 from repro.service.protocol import canonical_report_json
 from repro.workloads import get_workload
 from repro.workloads.synthetic import synthetic_spec
 
-from repro.fleet import FleetClient, FleetCoordinator, FleetError, FleetWorker
-from repro.fleet import protocol as fproto
-from repro.fleet.client import FleetUnavailable, parse_addr
+from repro.fleet import FleetCoordinator, FleetWorker
+from repro.fleet.coordinator import MAX_CELL_RETRIES
 from repro.fleet.wire import (
     DIR_FROM_COORDINATOR,
     DIR_TO_COORDINATOR,
@@ -213,9 +217,10 @@ class TestCellWireForm:
         assert (rebuilt.seed, rebuilt.scale, rebuilt.n_lanes) == (7, SCALE, job.n_lanes)
 
     def test_wire_trace_key_matches_store(self):
+        # A wire round-trip keeps the cell in its trace-key unit.
         job = _jobs()[0]
-        cell = fproto.job_to_wire(job)
-        assert fproto.wire_trace_key(cell) == trace_key(
+        rebuilt = fproto.job_from_wire(fproto.job_to_wire(job))
+        assert job_trace_key(rebuilt) == trace_key(
             job.spec.name, job.config.n_gpus, job.seed, job.scale, job.n_lanes
         )
 
@@ -226,7 +231,7 @@ class TestCellWireForm:
             seed=1,
             scale=SCALE,
         )
-        with pytest.raises(fproto.FleetProtocolError, match="not a registry spec"):
+        with pytest.raises(fproto.ProtocolError, match="not a registry spec"):
             fproto.job_to_wire(job)
 
     def test_unknown_workload_is_key_error(self):
@@ -245,9 +250,9 @@ class TestCellWireForm:
         ):
             cell = {k: v for k, v in good.items()}
             mutate(cell)
-            with pytest.raises(fproto.FleetProtocolError):
+            with pytest.raises(fproto.ProtocolError):
                 fproto.job_from_wire(cell)
-        with pytest.raises(fproto.FleetProtocolError):
+        with pytest.raises(fproto.ProtocolError):
             fproto.job_from_wire("not a dict")
 
     def test_parse_addr(self):
@@ -261,24 +266,32 @@ class TestCellWireForm:
 # ---------------------------------------------------------------------------
 # End-to-end over real sockets
 # ---------------------------------------------------------------------------
-def _sweep_via_fleet(client_call):
-    """Run the blocking FleetClient call off the event loop thread."""
-    return asyncio.get_running_loop().run_in_executor(None, client_call)
+def _off_loop(call):
+    """Run a blocking client call off the event loop thread."""
+    return asyncio.get_running_loop().run_in_executor(None, call)
 
 
-async def _spawn_worker(coordinator, tmp_path, n, key=KEY, heartbeat_s=0.2) -> tuple[list, list]:
+def _sweep(coordinator, jobs, key=KEY):
+    """The sweep response of one blocking client, as an awaitable."""
+
+    def call():
+        with ServiceClient(("127.0.0.1", coordinator.port), 120.0, key=key) as client:
+            return client.sweep(jobs)
+
+    return _off_loop(call)
+
+
+def _canonical(response) -> list[str]:
+    assert response["ok"], response
+    return [canonical_report_json(report) for report in response["reports"]]
+
+
+async def _spawn_workers(coordinator, n, key=KEY, heartbeat_s=0.2) -> list:
     workers = [
-        FleetWorker(
-            "127.0.0.1",
-            coordinator.port,
-            key,
-            heartbeat_s=heartbeat_s,
-            trace_store=TraceStore(tmp_path / "worker-traces"),
-        )
+        FleetWorker("127.0.0.1", coordinator.port, key, heartbeat_s=heartbeat_s)
         for _ in range(n)
     ]
-    tasks = [asyncio.ensure_future(worker.run()) for worker in workers]
-    return workers, tasks
+    return [asyncio.ensure_future(worker.run()) for worker in workers]
 
 
 async def _stop_all(coordinator, tasks):
@@ -336,6 +349,16 @@ class _Zombie:
         self.writer.write(line)
         await self.writer.drain()
 
+    async def answer(self, assignment: dict, entry: dict) -> None:
+        """Bank a real result for one assigned cell."""
+        from repro.runner.serialize import report_to_dict
+
+        report = SweepRunner(jobs=1, cache=None).run_jobs([fproto.job_from_wire(entry["job"])])[0]
+        await self.send(
+            {"op": "result", "unit": assignment["unit"], "cell": entry["index"],
+             "report": report_to_dict(report)}
+        )
+
     def drop(self) -> None:
         self.writer.close()
 
@@ -346,38 +369,9 @@ def _counter(coordinator, name: str) -> float:
 
 
 class TestFleetEndToEnd:
-    def test_byte_identity_over_real_sockets(self, tmp_path):
-        jobs = _jobs(seeds=(1, 2))
-        direct = SweepRunner(jobs=1, cache=None).run_jobs(jobs)
-
-        async def run():
-            coordinator = FleetCoordinator(KEY, lease_timeout_s=10.0)
-            await coordinator.start()
-            _, tasks = await _spawn_worker(coordinator, tmp_path, 2)
-
-            def call():
-                with FleetClient(("127.0.0.1", coordinator.port), KEY) as client:
-                    return client.sweep(jobs, timeout_s=120)
-
-            try:
-                reports = await _sweep_via_fleet(call)
-                status = coordinator.status()
-            finally:
-                await _stop_all(coordinator, tasks)
-            return reports, status
-
-        reports, status = asyncio.run(run())
-        assert [canonical_report_json(r) for r in reports] == [
-            canonical_report_json(r) for r in direct
-        ]
-        # Every cell was executed exactly once across the pool.
-        assert sum(w["completed"] for w in status["workers"]) == len(jobs)
-        assert status["queue_depth"] == 0
-        assert status["inflight_units"] == 0
-
     def test_dead_worker_cells_reassigned_without_loss(self, tmp_path):
         """A worker that banks one result and dies mid-unit: the remaining
-        cells are reassigned after lease expiry, nothing lost or doubled."""
+        cells are reassigned, nothing lost or doubled."""
         jobs = _jobs(seeds=(1,))
         direct = SweepRunner(jobs=1, cache=None).run_jobs(jobs)
 
@@ -386,51 +380,99 @@ class TestFleetEndToEnd:
             await coordinator.start()
             zombie = _Zombie(coordinator.port)
             await zombie.connect()
-
-            def call():
-                with FleetClient(("127.0.0.1", coordinator.port), KEY) as client:
-                    return client.sweep(jobs, timeout_s=120)
-
-            sweep_future = _sweep_via_fleet(call)
+            sweep_future = _sweep(coordinator, jobs)
             assignment = await zombie.recv_assign()
-            cells = assignment["cells"]
-            assert len(cells) == len(jobs)  # one trace key -> one unit
-            # Bank a real result for the first cell, then die silently.
-            first = cells[0]
-            report = SweepRunner(jobs=1, cache=None).run_jobs(
-                [fproto.job_from_wire(first["job"])]
-            )[0]
-            from repro.runner.serialize import report_to_dict
-
-            await zombie.send(
-                {
-                    "op": "result",
-                    "unit": assignment["unit"],
-                    "epoch": assignment["epoch"],
-                    "cell": first["index"],
-                    "report": report_to_dict(report),
-                }
-            )
+            assert len(assignment["cells"]) == len(jobs)  # one trace key -> one unit
+            await zombie.answer(assignment, assignment["cells"][0])
             await asyncio.sleep(0.1)
             zombie.drop()
 
             # A healthy worker arrives and inherits the remainder.
-            _, tasks = await _spawn_worker(coordinator, tmp_path, 1)
+            tasks = await _spawn_workers(coordinator, 1)
             try:
-                reports = await sweep_future
+                response = await sweep_future
                 snapshot = coordinator.telemetry.snapshot()
-                status = coordinator.status()
+                status = coordinator.service.status()
             finally:
                 await _stop_all(coordinator, tasks)
-            return reports, snapshot, status
+            return response, snapshot, status
 
-        reports, snapshot, status = asyncio.run(run())
-        assert [canonical_report_json(r) for r in reports] == [
-            canonical_report_json(r) for r in direct
-        ]
+        response, snapshot, status = asyncio.run(run())
+        assert _canonical(response) == [canonical_report_json(r) for r in direct]
         assert snapshot["fleet.reassigned"]["value"] == len(jobs) - 1
+        assert snapshot["fleet.completed"]["value"] == len(jobs)  # each cell accepted once
         # The healthy worker ran only the cells the zombie never finished.
         assert status["workers"][0]["completed"] == len(jobs) - 1
+        assert status["queue_depth"] == 0 and status["inflight_units"] == 0
+
+    def test_straggler_tail_stolen_and_late_copy_discarded(self, tmp_path):
+        """An idle worker steals a silent-but-alive straggler's unit; the
+        straggler's late result for an already-answered cell is discarded."""
+        jobs = _jobs(schemes=("unsecure", "private"))
+        direct = SweepRunner(jobs=1, cache=None).run_jobs(jobs)
+
+        async def run():
+            coordinator = FleetCoordinator(KEY, lease_timeout_s=10.0, steal_after_s=0.2)
+            await coordinator.start()
+            straggler = _Zombie(coordinator.port, name="straggler")
+            await straggler.connect()
+            sweep_future = _sweep(coordinator, jobs)
+            assignment = await straggler.recv_assign()
+            tasks = await _spawn_workers(coordinator, 1)
+            try:
+                response = await sweep_future
+                await straggler.answer(assignment, assignment["cells"][0])  # too late
+                await asyncio.sleep(0.2)
+                snapshot = coordinator.telemetry.snapshot()
+            finally:
+                straggler.drop()
+                await _stop_all(coordinator, tasks)
+            return response, snapshot
+
+        response, snapshot = asyncio.run(run())
+        assert _canonical(response) == [canonical_report_json(r) for r in direct]
+        assert snapshot["fleet.stolen"]["value"] == len(jobs)
+        assert snapshot["fleet.completed"]["value"] == len(jobs)
+        assert snapshot["fleet.duplicates_discarded"]["value"] >= 1
+
+    def test_finished_lease_is_retired_by_its_own_unit_done(self, tmp_path):
+        """Another worker's result never retires a lease whose holder has
+        answered every cell but not yet said unit_done: no spurious
+        release, and the unit is counted when its holder reports."""
+        jobs = _jobs(schemes=("unsecure",), seeds=(1, 2))  # two one-cell units
+
+        async def frames(zombie) -> list[str]:
+            ops = []
+            with contextlib.suppress(asyncio.TimeoutError):
+                while True:
+                    ops.append((await asyncio.wait_for(zombie.recv(), 0.2))["op"])
+            return ops
+
+        async def run():
+            coordinator = FleetCoordinator(KEY, lease_timeout_s=10.0, steal_after_s=None)
+            await coordinator.start()
+            zombies = [_Zombie(coordinator.port, name=name) for name in ("a", "b")]
+            for zombie in zombies:
+                await zombie.connect()
+            sweep_future = _sweep(coordinator, jobs)
+            assignments = [await zombie.recv_assign() for zombie in zombies]
+            for zombie, assignment in zip(zombies, assignments):
+                await zombie.answer(assignment, assignment["cells"][0])
+                await asyncio.sleep(0.1)
+            for zombie, assignment in zip(zombies, assignments):
+                await zombie.send({"op": "unit_done", "unit": assignment["unit"]})
+            response = await sweep_future
+            received = [await frames(zombie) for zombie in zombies]
+            batches = _counter(coordinator, "service.batches")
+            for zombie in zombies:
+                zombie.drop()
+            await coordinator.stop()
+            return response, received, batches
+
+        response, received, batches = asyncio.run(run())
+        assert response["ok"], response
+        assert all("release" not in ops for ops in received), received
+        assert batches == len(jobs)
 
     def test_lease_expires_for_silent_worker_but_not_slow_one(self, tmp_path):
         """Silence past the lease timeout reaps a worker; a slow worker
@@ -472,21 +514,16 @@ class TestFleetEndToEnd:
             # Lease far shorter than a cell's runtime; heartbeat shorter still.
             coordinator = FleetCoordinator(KEY, lease_timeout_s=0.25, steal_after_s=None)
             await coordinator.start()
-            _, tasks = await _spawn_worker(coordinator, tmp_path, 1)
-
-            def call():
-                with FleetClient(("127.0.0.1", coordinator.port), KEY) as client:
-                    return client.sweep(jobs, timeout_s=120)
-
+            tasks = await _spawn_workers(coordinator, 1)
             try:
-                reports = await _sweep_via_fleet(call)
+                response = await _sweep(coordinator, jobs)
                 expired = _counter(coordinator, "fleet.lease_expired")
             finally:
                 await _stop_all(coordinator, tasks)
-            return reports, expired
+            return response, expired
 
-        reports, expired = asyncio.run(run())
-        assert canonical_report_json(reports[0]) == canonical_report_json(direct[0])
+        response, expired = asyncio.run(run())
+        assert _canonical(response) == [canonical_report_json(direct[0])]
         assert expired == 0
 
     def test_replayed_worker_frame_hangs_up_connection(self, tmp_path):
@@ -516,13 +553,13 @@ class TestFleetEndToEnd:
 
             def client_call():
                 try:
-                    with FleetClient(("127.0.0.1", coordinator.port), b"wrong-key-here") as c:
+                    with ServiceClient(("127.0.0.1", coordinator.port), 10.0, key=b"wrong-key-here") as c:
                         c.ping()
                     return None
-                except FleetError as exc:
+                except ServiceUnavailable as exc:
                     return exc
 
-            client_exc = await _sweep_via_fleet(client_call)
+            client_exc = await _off_loop(client_call)
             worker = FleetWorker("127.0.0.1", coordinator.port, b"also-wrong-key")
             try:
                 await worker.run()
@@ -545,28 +582,31 @@ class TestFleetEndToEnd:
 
             def call():
                 codes = {}
-                with FleetClient(("127.0.0.1", coordinator.port), KEY) as client:
+                with ServiceClient(("127.0.0.1", coordinator.port), 30.0, key=KEY) as client:
                     bad_cell = fproto.job_to_wire(_jobs()[0])
                     bad_cell["workload"] = "no-such-workload"
+                    good_cell = fproto.job_to_wire(_jobs()[0])
                     for label, body in {
-                        "unknown_workload": {"op": "sweep", "id": 1, "priority": "normal",
-                                             "cells": [bad_cell]},
-                        "empty": {"op": "sweep", "id": 2, "priority": "normal", "cells": []},
-                        "priority": {"op": "sweep", "id": 3, "priority": "urgent",
-                                     "cells": [fproto.job_to_wire(_jobs()[0])]},
+                        "unknown_workload": {"op": "sweep", "cells": [good_cell, bad_cell]},
+                        "empty": {"op": "sweep", "cells": []},
+                        "priority": {"op": "sweep", "priority": "urgent", "cells": [good_cell]},
+                        "malformed": {"op": "sweep", "cells": [{**good_cell, "seed": "one"}]},
                     }.items():
-                        response = client._request(body, timeout_s=30)
+                        response = client.request(body)
                         codes[label] = (response["ok"], response["error"]["code"])
                 return codes
 
-            codes = await _sweep_via_fleet(call)
+            codes = await _off_loop(call)
+            admitted = _counter(coordinator, "service.admitted")
             await coordinator.stop()
-            return codes
+            return codes, admitted
 
-        codes = asyncio.run(run())
+        codes, admitted = asyncio.run(run())
         assert codes["unknown_workload"] == (False, "unknown_workload")
         assert codes["empty"] == (False, "bad_request")
         assert codes["priority"] == (False, "bad_request")
+        assert codes["malformed"] == (False, "bad_request")
+        assert admitted == 0  # validation is whole-sweep, before any admission
 
     def test_retries_exhausted_is_bounded_and_structured(self, tmp_path):
         """A unit whose holders keep dying burns its retry budget and the
@@ -574,37 +614,42 @@ class TestFleetEndToEnd:
         jobs = _jobs(schemes=("unsecure",))
 
         async def run():
-            coordinator = FleetCoordinator(
-                KEY, lease_timeout_s=0.4, steal_after_s=None, max_cell_retries=1
-            )
+            coordinator = FleetCoordinator(KEY, lease_timeout_s=0.4, steal_after_s=None)
             await coordinator.start()
-
-            def call():
-                try:
-                    with FleetClient(("127.0.0.1", coordinator.port), KEY) as client:
-                        client.sweep(jobs, timeout_s=120)
-                    return None
-                except FleetError as exc:
-                    return exc
-
-            sweep_future = _sweep_via_fleet(call)
-            for _ in range(2):  # initial assignment + one permitted retry
+            sweep_future = _sweep(coordinator, jobs)
+            for _ in range(MAX_CELL_RETRIES + 1):  # first assignment + every retry
                 zombie = _Zombie(coordinator.port)
                 await zombie.connect()
                 await zombie.recv_assign()
                 zombie.drop()
                 await asyncio.sleep(0.05)
-            exc = await sweep_future
+            response = await sweep_future
             await coordinator.stop()
-            return exc
+            return response
 
-        exc = asyncio.run(run())
-        assert exc is not None
-        assert exc.code == "retries_exhausted"
+        response = asyncio.run(run())
+        assert not response["ok"]
+        assert response["error"]["code"] == "retries_exhausted"
+
+    def test_stop_answers_outstanding_sweep_with_draining(self, tmp_path):
+        """Stopping a coordinator with no workers never leaves a client hanging."""
+
+        async def run():
+            coordinator = FleetCoordinator(KEY, lease_timeout_s=10.0)
+            await coordinator.start()
+            sweep_future = _sweep(coordinator, _jobs(schemes=("unsecure",)))
+            while _counter(coordinator, "service.admitted") < 1:
+                await asyncio.sleep(0.01)
+            await coordinator.stop()
+            return await asyncio.wait_for(sweep_future, 30)
+
+        response = asyncio.run(run())
+        assert not response["ok"]
+        assert response["error"]["code"] == "draining"
 
     def test_no_coordinator_is_fleet_unavailable(self, tmp_path):
-        with pytest.raises(FleetUnavailable):
-            with FleetClient(("127.0.0.1", 1), KEY, connect_timeout_s=2.0) as client:
+        with pytest.raises(ServiceUnavailable):
+            with ServiceClient(("127.0.0.1", 1), 2.0, key=KEY) as client:
                 client.ping()
 
 
@@ -612,10 +657,6 @@ class TestFleetEndToEnd:
 # SweepRunner integration
 # ---------------------------------------------------------------------------
 class TestSweepRunnerFleetMode:
-    def test_fleet_mode_requires_addr(self):
-        with pytest.raises(ValueError, match="requires fleet_addr"):
-            SweepRunner(jobs=1, cache=None, mode="fleet").run_jobs(_jobs())
-
     def test_fleet_mode_round_trip_and_stats(self, tmp_path):
         jobs = _jobs()
         direct = SweepRunner(jobs=1, cache=None).run_jobs(jobs)
@@ -623,20 +664,19 @@ class TestSweepRunnerFleetMode:
         async def run():
             coordinator = FleetCoordinator(KEY, lease_timeout_s=10.0)
             await coordinator.start()
-            _, tasks = await _spawn_worker(coordinator, tmp_path, 1)
+            tasks = await _spawn_workers(coordinator, 1)
 
             def call():
                 runner = SweepRunner(
                     jobs=1,
                     cache=None,
-                    mode="fleet",
                     fleet_addr=f"127.0.0.1:{coordinator.port}",
                     fleet_key=KEY,
                 )
                 return runner.run_jobs(jobs), runner.stats
 
             try:
-                return await _sweep_via_fleet(call)
+                return await _off_loop(call)
             finally:
                 await _stop_all(coordinator, tasks)
 
@@ -644,16 +684,60 @@ class TestSweepRunnerFleetMode:
         assert [canonical_report_json(r) for r in reports] == [
             canonical_report_json(r) for r in direct
         ]
+        assert stats.mode == "fleet"
         assert stats.fleet_runs == len(jobs)
         assert stats.fallbacks == 0
 
+    def test_service_forwards_units_to_coordinator(self, tmp_path):
+        """``serve --fleet``: the Unix front's dispatcher runs its units on a
+        coordinator's workers, and the served report is still the direct one."""
+        from repro.service import SimulationService
+
+        job = _jobs(schemes=("private",))[0]
+        direct = SweepRunner(jobs=1, cache=None).run_jobs([job])[0]
+
+        async def run():
+            coordinator = FleetCoordinator(KEY, lease_timeout_s=10.0)
+            await coordinator.start()
+            tasks = await _spawn_workers(coordinator, 1)
+            service = SimulationService(fleet_addr=f"127.0.0.1:{coordinator.port}", fleet_key=KEY)
+            try:
+                async with service:
+                    report = await service.submit(job).future
+                return report, service.runner.stats, _counter(coordinator, "fleet.completed")
+            finally:
+                await _stop_all(coordinator, tasks)
+
+        report, stats, completed = asyncio.run(run())
+        assert canonical_report_json(report) == canonical_report_json(direct)
+        assert stats.fleet_runs == 1 and completed == 1
+
     def test_unreachable_fleet_falls_back_to_local(self):
         jobs = _jobs(schemes=("unsecure",))
-        runner = SweepRunner(
-            jobs=1, cache=None, mode="fleet", fleet_addr="127.0.0.1:1", fleet_key=KEY
-        )
+        runner = SweepRunner(jobs=1, cache=None, fleet_addr="127.0.0.1:1", fleet_key=KEY)
         reports = runner.run_jobs(jobs)
         direct = SweepRunner(jobs=1, cache=None).run_jobs(jobs)
         assert canonical_report_json(reports[0]) == canonical_report_json(direct[0])
         assert runner.stats.fallbacks == len(jobs)
         assert runner.stats.fleet_runs == 0
+
+    def test_wrong_key_raises_instead_of_falling_back(self, tmp_path):
+        async def run():
+            coordinator = FleetCoordinator(KEY, lease_timeout_s=10.0)
+            await coordinator.start()
+
+            def call():
+                runner = SweepRunner(
+                    jobs=1, cache=None,
+                    fleet_addr=f"127.0.0.1:{coordinator.port}", fleet_key=b"wrong-key-here",
+                )
+                with pytest.raises(ServiceUnavailable) as excinfo:
+                    runner.run_jobs(_jobs(schemes=("unsecure",)))
+                return excinfo.value.code
+
+            try:
+                return await _off_loop(call)
+            finally:
+                await coordinator.stop()
+
+        assert asyncio.run(run()) == "auth_failed"

@@ -13,18 +13,23 @@ The load-bearing contracts (``docs/SERVICE.md``):
   completes every admitted execution.
 
 Scheduler tests drive :class:`SimulationService` directly inside
-``asyncio.run``; the end-to-end test goes through a real Unix socket.
+``asyncio.run``, with a fake runner under the local executor where a
+test needs to observe or gate execution; the end-to-end tests go
+through a real Unix socket, and one parametrized test holds every path
+(direct runner, Unix socket, TCP coordinator with two workers) to the
+same bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+import types
 
 import pytest
 
 from repro.configs import scheme_config
-from repro.runner import ResultCache, SweepJob, SweepRunner, report_to_dict
+from repro.runner import ResultCache, SweepJob, SweepRunner, execute_job, report_to_dict
 from repro.service import (
     PriorityRoundRobin,
     ServiceClient,
@@ -51,6 +56,13 @@ def _job(scheme: str = "unsecure", seed: int = 1, workload: str = "fir") -> Swee
 
 def _direct(*jobs: SweepJob):
     return SweepRunner(jobs=1).run_jobs(list(jobs))
+
+
+def _service(run_jobs, **kwargs) -> SimulationService:
+    """A dispatcher whose local executor runs units through ``run_jobs``."""
+    service = SimulationService(**kwargs)
+    service.runner = types.SimpleNamespace(run_jobs=run_jobs)
+    return service
 
 
 def _counter(service: SimulationService, name: str) -> int:
@@ -118,16 +130,6 @@ class TestProtocol:
 # Scheduler
 # ----------------------------------------------------------------------
 class TestScheduler:
-    def test_served_report_byte_identical_to_direct_runner(self):
-        async def scenario():
-            async with SimulationService() as service:
-                ticket = service.submit(_job("batching"))
-                return await ticket.future
-
-        served = asyncio.run(scenario())
-        direct = _direct(_job("batching"))[0]
-        assert canonical_report_json(served) == canonical_report_json(direct)
-
     def test_identical_submissions_coalesce_to_one_execution(self):
         batches: list[list[SweepJob]] = []
         runner = SweepRunner(jobs=1)
@@ -137,7 +139,7 @@ class TestScheduler:
             return runner.run_jobs(jobs)
 
         async def scenario():
-            async with SimulationService(run_batch=recording) as service:
+            async with _service(recording) as service:
                 first = service.submit(_job(), client="alice")
                 second = service.submit(_job(), client="bob")  # identical cell
                 reports = await asyncio.gather(first.future, second.future)
@@ -161,7 +163,7 @@ class TestScheduler:
             raise AssertionError("cache hit must not execute")
 
         async def scenario():
-            async with SimulationService(cache=cache, run_batch=explode) as service:
+            async with _service(explode, cache=cache) as service:
                 ticket = service.submit(_job())
                 report = await ticket.future
                 assert ticket.source == "cache"
@@ -217,7 +219,7 @@ class TestScheduler:
             return runner.run_jobs(jobs)
 
         async def scenario():
-            async with SimulationService(run_batch=gated) as service:
+            async with _service(gated) as service:
                 ticket = service.submit(_job())
                 while ticket.state != "running":  # dispatcher picks it up
                     await asyncio.sleep(0.01)
@@ -257,7 +259,7 @@ class TestScheduler:
             raise RuntimeError("worker crashed")
 
         async def scenario():
-            async with SimulationService(run_batch=explode) as service:
+            async with _service(explode) as service:
                 ticket = service.submit(_job())
                 with pytest.raises(ServiceError) as excinfo:
                     await ticket.future
@@ -275,7 +277,7 @@ class TestScheduler:
             return runner.run_jobs(jobs)
 
         async def scenario():
-            async with SimulationService(run_batch=recording) as service:
+            async with _service(recording) as service:
                 # distinct workloads so no trace key is shared across cells
                 tickets = [
                     service.submit(_job(workload="fir", seed=1), client="alice"),
@@ -298,7 +300,7 @@ class TestScheduler:
             return runner.run_jobs(jobs)
 
         async def scenario():
-            async with SimulationService(run_batch=recording) as service:
+            async with _service(recording) as service:
                 tickets = [
                     # same (workload, gpus, seed, scale) -> same trace key
                     service.submit(_job("unsecure"), client="alice"),
@@ -397,7 +399,7 @@ class TestServerEndToEnd:
                 )
 
         async def scenario():
-            service = SimulationService(run_batch=gated)
+            service = _service(gated)
             server = SimulationServer(service, socket_path)
             await server.start()
             try:
@@ -419,6 +421,137 @@ class TestServerEndToEnd:
         for response in responses:
             assert response["ok"], response
             assert canonical_report_json(response["report"]) == expected
+
+
+# ----------------------------------------------------------------------
+# Multi-cell sweeps: ordered merge, whole admission, fail fast
+# ----------------------------------------------------------------------
+class TestSweep:
+    def test_sweep_merges_in_input_order_with_duplicates(self):
+        jobs = [_job("private"), _job("unsecure"), _job("private"), _job("unsecure", seed=2)]
+
+        async def scenario():
+            async with SimulationService() as service:
+                reports = await service.sweep(jobs, client="bulk")
+                return reports, _counter(service, "service.admitted"), _counter(
+                    service, "service.coalesced"
+                )
+
+        reports, admitted, coalesced = asyncio.run(scenario())
+        assert [canonical_report_json(r) for r in reports] == [
+            canonical_report_json(r) for r in _direct(*jobs)
+        ]
+        assert (admitted, coalesced) == (3, 1)  # the duplicate rode along
+
+    def test_sweep_admitted_whole_while_queue_has_room(self):
+        async def scenario():
+            service = SimulationService(max_queue=2)  # never started: the queue holds
+            service.submit(_job(seed=1))
+            pending = asyncio.ensure_future(service.sweep([_job(seed=s) for s in (2, 3, 4)]))
+            await asyncio.sleep(0)
+            depth = service.status()["queue_depth"]
+            with pytest.raises(ServiceError) as excinfo:
+                await service.sweep([_job(seed=5)])
+            pending.cancel()
+            return depth, excinfo.value
+
+        depth, rejection = asyncio.run(scenario())
+        assert depth == 4  # past max_queue: a sweep is never split
+        assert rejection.code == "queue_full" and rejection.retry_after_s > 0
+
+    def test_failed_cell_fails_sweep_and_cancels_the_rest(self):
+        executed: list[int] = []
+
+        def poisoned(jobs):
+            executed.extend(job.seed for job in jobs)
+            raise RuntimeError("poison cell")
+
+        async def scenario():
+            async with _service(poisoned) as service:
+                with pytest.raises(ServiceError) as excinfo:
+                    await service.sweep([_job(seed=1), _job(seed=2)])
+                return excinfo.value.code, service.status()
+
+        code, status = asyncio.run(scenario())
+        assert code == "execution_failed"
+        assert executed == [1]  # the second unit never ran
+        assert status["queue_depth"] == 0
+        assert status["states"] == {"failed": 1, "cancelled": 1}
+
+
+# ----------------------------------------------------------------------
+# The determinism contract, held by every path on the same cells
+# ----------------------------------------------------------------------
+#: (scheme, seed) cells: three share a trace key, and the last repeats one
+BYTE_IDENTITY_CELLS = [("unsecure", 1), ("private", 1), ("batching", 1), ("private", 2), ("private", 1)]
+
+
+def _via_direct(jobs, tmp_path) -> list[str]:
+    return [canonical_report_json(r) for r in SweepRunner(jobs=1, cache=None).run_jobs(jobs)]
+
+
+def _via_unix(jobs, tmp_path) -> list[str]:
+    socket_path = tmp_path / "service.sock"
+
+    def call():
+        with ServiceClient(socket_path, timeout=120.0) as client:
+            return client.sweep(jobs)
+
+    async def scenario():
+        server = SimulationServer(SimulationService(), socket_path)
+        await server.start()
+        try:
+            return await asyncio.to_thread(call)
+        finally:
+            await server.drain_and_stop()
+
+    response = asyncio.run(scenario())
+    assert response["ok"], response
+    return [canonical_report_json(report) for report in response["reports"]]
+
+
+def _via_fleet(jobs, tmp_path) -> list[str]:
+    from repro.fleet import FleetCoordinator, FleetWorker
+
+    key = b"byte-identity-test-key"
+
+    async def scenario():
+        coordinator = FleetCoordinator(key)
+        await coordinator.start()
+        workers = [
+            asyncio.ensure_future(
+                FleetWorker("127.0.0.1", coordinator.port, key, heartbeat_s=0.2).run()
+            )
+            for _ in range(2)
+        ]
+
+        def call():
+            with ServiceClient(("127.0.0.1", coordinator.port), 120.0, key=key) as client:
+                return client.sweep(jobs)
+
+        try:
+            return await asyncio.to_thread(call), coordinator.service.status()
+        finally:
+            await coordinator.stop()
+            await asyncio.gather(*workers, return_exceptions=True)
+
+    response, status = asyncio.run(scenario())
+    assert response["ok"], response
+    # every distinct cell executed exactly once across the pool
+    assert sum(w["completed"] for w in status["workers"]) == len(set(jobs))
+    assert status["queue_depth"] == 0 and status["inflight_units"] == 0
+    return [canonical_report_json(report) for report in response["reports"]]
+
+
+@pytest.mark.parametrize("path", ["direct", "unix", "fleet"])
+def test_reports_byte_identical_across_paths(path, tmp_path):
+    """A direct run, the Unix-socket service and the TCP coordinator with
+    two in-process workers render the same cells to the same bytes as
+    running each cell alone through ``execute_job``."""
+    jobs = [_job(scheme, seed) for scheme, seed in BYTE_IDENTITY_CELLS]
+    expected = [canonical_report_json(execute_job(job)) for job in jobs]
+    via = {"direct": _via_direct, "unix": _via_unix, "fleet": _via_fleet}[path]
+    assert via(jobs, tmp_path) == expected
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +635,7 @@ class TestSchedulerPriorities:
             return runner.run_jobs(jobs)
 
         async def scenario():
-            service = SimulationService(run_batch=recording)
+            service = _service(recording)
             # Queue before the dispatcher starts: admission order is
             # normal, low, high -- dispatch order must be high, normal, low.
             normal = service.submit(_job(seed=1), client="bulk")

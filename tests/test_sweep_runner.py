@@ -25,6 +25,7 @@ from repro.runner import (
     report_from_dict,
     report_to_dict,
 )
+from repro.runner.sweep import RETRY_BACKOFF_MAX_S
 from repro.workloads import get_workload
 from repro.workloads.synthetic import synthetic_spec
 
@@ -278,11 +279,12 @@ class TestRetryBackoff:
     """Exponential backoff with deterministic jitter + the failure manifest."""
 
     def test_retry_delay_grows_and_caps(self):
-        runner = SweepRunner(jobs=1, retry_backoff=0.1, retry_backoff_max=0.5)
+        assert RETRY_BACKOFF_MAX_S == 2.0
+        runner = SweepRunner(jobs=1, retry_backoff=0.25)
         job = _grid()[0]
         delays = [runner._retry_delay(job, attempt) for attempt in range(6)]
-        # monotone non-decreasing bases: 0.1, 0.2, 0.4, then capped at 0.5
-        bases = [0.1, 0.2, 0.4, 0.5, 0.5, 0.5]
+        # monotone non-decreasing bases: 0.25, 0.5, 1.0, then capped at 2.0
+        bases = [0.25, 0.5, 1.0, 2.0, 2.0, 2.0]
         for delay, base in zip(delays, bases):
             assert base <= delay <= base * 1.25
 
