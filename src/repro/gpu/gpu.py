@@ -15,10 +15,12 @@ outstanding-request window (MSHR capacity).
 Hot-path notes: the pump replays :class:`~repro.workloads.compiled.
 CompiledLane` integer arrays directly — no per-access objects — with lane
 readiness inlined (the :class:`~repro.gpu.compute_unit.LaneState` enum is
-for tests and diagnostics, not the issue loop), and every one-shot
-completion callback goes through the engine's no-handle ``post``/
-``post_at`` path.  Only the wakeup timer, which is routinely cancelled and
-rescheduled, takes an :class:`~repro.sim.engine.Event` handle.
+for tests and diagnostics, not the issue loop).  One scan from the
+round-robin pointer picks the next lane or, when no lane is ready, yields
+the next wakeup time.  Every one-shot completion callback goes through the
+engine's no-handle ``post``/``post_at`` path.  Only the wakeup timer,
+which is routinely cancelled and rescheduled, takes an
+:class:`~repro.sim.engine.Event` handle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Callable
 from repro.configs import GpuConfig, MigrationConfig
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.compute_unit import ComputeUnitLane
-from repro.interconnect.arbiter import RoundRobinArbiter
 from repro.gpu.hbm import HbmModel
 from repro.gpu.tlb import TlbHierarchy
 from repro.interconnect.packet import Packet, PacketKind
@@ -86,6 +87,7 @@ class GpuDevice:
         self._pending: dict[int, tuple] = {}  # txn id -> (kind, payload)
         self._migrating: dict[int, dict] = {}  # page -> in-flight migration state
         self._wakeup = None
+        self._rr_next = 0  # round-robin pointer: the lane the next scan starts at
         self.finish_cycle: int | None = None
         self.instructions = 0
 
@@ -120,7 +122,6 @@ class GpuDevice:
                     f"gpu{self.node_id}.l1.{lane_id}", self.cfg.l1_size, self.cfg.l1_assoc
                 )
             )
-        self._arbiter = RoundRobinArbiter(range(len(self.lanes)))
 
     def start(self) -> None:
         self.sim.post(0, self._pump)
@@ -130,35 +131,52 @@ class GpuDevice:
     # ------------------------------------------------------------------
     def _pump(self) -> None:
         now = self.sim.now
-        lanes = self.lanes
         max_out = self.cfg.max_outstanding
-        grant = self._arbiter.grant
-        while self.outstanding < max_out:
-            # inline LaneState.READY: not exhausted, under its outstanding
-            # cap, and its gap has elapsed
-            ready = [
-                l.lane_id
-                for l in lanes
-                if l.index < l.n and l.outstanding < l.max_outstanding and now >= l.ready_at
-            ]
-            if not ready:
+        lanes = self.lanes
+        while True:
+            winner, next_time = self._grant_lane(now, self.outstanding < max_out)
+            if winner is None:
                 break
-            # wavefront schedulers grant issue slots fairly; without
-            # rotation, low-numbered lanes would monopolize the window
-            winner = grant(ready)
             self._handle_access(lanes[winner], now)
-        self._schedule_wakeup(now)
+        self._schedule_wakeup(now, next_time)
         if self.finish_cycle is None:
             self._check_finished(now)
 
-    def _schedule_wakeup(self, now: int) -> None:
-        next_time: int | None = None
-        for l in self.lanes:
-            # inline LaneState.WAITING: not exhausted, under its cap, gap
-            # still running
-            if l.index < l.n and l.outstanding < l.max_outstanding and now < l.ready_at:
-                if next_time is None or l.ready_at < next_time:
-                    next_time = l.ready_at
+    def _grant_lane(self, now: int, window_open: bool) -> tuple[int | None, int | None]:
+        """One scan of the lanes from the round-robin pointer.
+
+        Returns ``(winner, next_time)``.  With the window open, the first
+        READY lane (not exhausted, under its outstanding cap, gap elapsed)
+        wins and the pointer moves past it.  That is the grant order of a
+        :class:`~repro.interconnect.arbiter.RoundRobinArbiter` over the
+        ready lanes: wavefront schedulers grant issue slots fairly, and
+        without rotation low-numbered lanes would monopolize the window.
+
+        When nothing wins, the scan has seen every lane, and ``next_time``
+        is the earliest ``ready_at`` of a WAITING lane (under its cap, gap
+        still running), or None if no lane waits.
+        """
+        lanes = self.lanes
+        n = len(lanes)
+        start = self._rr_next
+        next_time = None
+        for offset in range(n):
+            idx = start + offset
+            if idx >= n:
+                idx -= n
+            l = lanes[idx]
+            if l.index < l.n and l.outstanding < l.max_outstanding:
+                ready_at = l.ready_at
+                if now < ready_at:
+                    if next_time is None or ready_at < next_time:
+                        next_time = ready_at
+                elif window_open:
+                    self._rr_next = idx + 1 if idx + 1 < n else 0
+                    return idx, next_time
+        return None, next_time
+
+    def _schedule_wakeup(self, now: int, next_time: int | None) -> None:
+        """Arm the pump for ``next_time``, keeping an earlier live timer."""
         if next_time is None:
             return
         # an existing wakeup only counts if it is still in the future

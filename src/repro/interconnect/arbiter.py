@@ -1,9 +1,10 @@
 """Round-robin arbitration among competing requesters.
 
 Used where several logical streams contend for one resource in the same
-cycle — e.g. compute-unit lanes competing for a GPU's outstanding-request
-window slots.  Round-robin matches the fair wavefront schedulers of the
-modeled hardware and keeps runs deterministic.
+cycle.  Round-robin matches the fair wavefront schedulers of the modeled
+hardware and keeps runs deterministic.  The GPU issue pump grants its
+compute-unit lanes in exactly this order but inlines the rotation into its
+lane scan (``GpuDevice._grant_lane``), so it never builds a request list.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Cache, TLB, and HBM model tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import CacheStats, SetAssociativeCache
 from repro.gpu.hbm import HbmModel
 from repro.gpu.tlb import Tlb, TlbHierarchy
+from repro.memory.address_space import PAGE_BYTES
 
 
 class TestCache:
@@ -66,6 +69,32 @@ class TestCache:
         with pytest.raises(ValueError):
             SetAssociativeCache("t", size_bytes=0, assoc=1)
 
+    def test_line_size_must_divide_a_page(self):
+        with pytest.raises(ValueError, match="do not divide"):
+            SetAssociativeCache("t", size_bytes=96 * 4, assoc=2, line_bytes=96)
+        SetAssociativeCache("t", size_bytes=128 * 4, assoc=2, line_bytes=128)
+
+    def test_invalidate_page_rejects_other_page_sizes(self):
+        c = SetAssociativeCache("t", size_bytes=64 * 64, assoc=4)
+        c.fill(0)
+        for page_bytes in (PAGE_BYTES // 2, 2 * PAGE_BYTES, 64):
+            with pytest.raises(ValueError, match="pages are"):
+                c.invalidate_page(0, page_bytes)
+        with pytest.raises(ValueError, match="not page aligned"):
+            c.invalidate_page(64, PAGE_BYTES)
+        assert c.contains(0) and c.stats.invalidations == 0
+
+    def test_invalidate_page_drops_only_that_page(self):
+        c = SetAssociativeCache("t", size_bytes=64 * 64, assoc=4)
+        c.fill(8)  # unaligned address within page 0's first line
+        c.fill(PAGE_BYTES - 64)
+        c.fill(PAGE_BYTES)
+        assert c.invalidate_page(0, PAGE_BYTES) == 2
+        assert c.stats.invalidations == 2
+        assert not c.contains(0) and c.contains(PAGE_BYTES)
+        assert c.invalidate_page(0, PAGE_BYTES) == 0
+        assert c.invalidate_page(5 * PAGE_BYTES, PAGE_BYTES) == 0
+
     def test_contains_does_not_touch_lru(self):
         c = self._small()
         c.fill(0)
@@ -80,6 +109,118 @@ class TestCache:
         c.lookup(0)
         c.lookup(64)
         assert c.stats.hit_rate == pytest.approx(0.5)
+
+
+class ReferenceCache:
+    """Reference model: the same LRU sets with no page index, and a page
+    invalidation that probes every line of the page."""
+
+    def __init__(self, size_bytes, assoc, line_bytes=64):
+        self.line_bytes = line_bytes
+        self.assoc = assoc
+        self.n_sets = size_bytes // line_bytes // assoc
+        self.sets = [dict() for _ in range(self.n_sets)]
+        self.stamp = 0
+        self.stats = CacheStats()
+
+    def _locate(self, address):
+        block = address // self.line_bytes
+        return block % self.n_sets, block // self.n_sets
+
+    def lookup(self, address):
+        set_idx, tag = self._locate(address)
+        cache_set = self.sets[set_idx]
+        self.stamp += 1
+        if tag in cache_set:
+            cache_set[tag] = self.stamp
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        return False
+
+    def fill(self, address):
+        set_idx, tag = self._locate(address)
+        cache_set = self.sets[set_idx]
+        self.stamp += 1
+        if tag in cache_set:
+            cache_set[tag] = self.stamp
+            return None
+        victim_addr = None
+        if len(cache_set) >= self.assoc:
+            victim_tag = min(cache_set, key=cache_set.get)
+            del cache_set[victim_tag]
+            self.stats.evictions += 1
+            victim_addr = (victim_tag * self.n_sets + set_idx) * self.line_bytes
+        cache_set[tag] = self.stamp
+        return victim_addr
+
+    def contains(self, address):
+        set_idx, tag = self._locate(address)
+        return tag in self.sets[set_idx]
+
+    def invalidate(self, address):
+        set_idx, tag = self._locate(address)
+        cache_set = self.sets[set_idx]
+        if tag in cache_set:
+            del cache_set[tag]
+            self.stats.invalidations += 1
+            return True
+        return False
+
+    def invalidate_page(self, page_base, page_bytes):
+        return sum(
+            self.invalidate(addr)
+            for addr in range(page_base, page_base + page_bytes, self.line_bytes)
+        )
+
+    @property
+    def occupancy(self):
+        return sum(len(s) for s in self.sets)
+
+
+#: (size_bytes, assoc, line_bytes): an L1-like 4-way and an L2-like 16-way
+#: geometry, plus 128 B lines; each has at most 4 sets, so the up to 64
+#: distinct lines the operations below touch overflow a set and evict
+_GEOMETRIES = [(1024, 4, 64), (2048, 16, 64), (2048, 4, 128)]
+
+_ops = st.lists(
+    st.tuples(
+        # fills weighted double so sets fill up between invalidations
+        st.sampled_from(["lookup", "fill", "fill", "invalidate", "invalidate_page"]),
+        st.integers(0, 7),  # page
+        # first and last lines of the page, any byte within the line
+        st.sampled_from([0, 1, 2, 3, 60, 61, 62, 63]),
+        st.integers(0, 63),
+    ),
+    min_size=60,
+    max_size=200,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=st.sampled_from(_GEOMETRIES), ops=_ops)
+def test_page_index_matches_probe_every_line_reference(geometry, ops):
+    size_bytes, assoc, line_bytes = geometry
+    cache = SetAssociativeCache("t", size_bytes, assoc, line_bytes)
+    ref = ReferenceCache(size_bytes, assoc, line_bytes)
+    touched = set()
+    for op, page, line, byte in ops:
+        if op == "invalidate_page":
+            args = (page * PAGE_BYTES, PAGE_BYTES)
+        else:
+            args = (page * PAGE_BYTES + line * 64 + byte,)
+            touched.add(args[0])
+        assert getattr(cache, op)(*args) == getattr(ref, op)(*args), (op, args)
+        assert cache.stats == ref.stats
+        assert cache.occupancy == ref.occupancy
+        for addr in touched:
+            assert cache.contains(addr) == ref.contains(addr)
+        resident: dict[int, set[int]] = {}
+        for set_idx, cache_set in enumerate(cache._sets):
+            for tag in cache_set:
+                block = tag * cache.n_sets + set_idx
+                resident.setdefault(block * line_bytes // PAGE_BYTES, set()).add(block)
+        assert cache._pages == resident
 
 
 class TestTlb:

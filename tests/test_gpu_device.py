@@ -1,16 +1,21 @@
 """GPU device model tests against a fixed-delay fake transport."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.configs import GpuConfig, MigrationConfig
 from repro.gpu.compute_unit import ComputeUnitLane, LaneState
 from repro.gpu.cpu import HostCpu
 from repro.gpu.gpu import GpuDevice
+from repro.interconnect.arbiter import RoundRobinArbiter
 from repro.interconnect.packet import PacketKind
 from repro.memory.address_space import BLOCK_BYTES, PAGE_BYTES
 from repro.memory.migration import AccessCounterMigrationPolicy, MigrationCost
 from repro.memory.page_table import PageTable
+from repro.sim.engine import Simulator
 from repro.workloads.base import Access, AccessKind, GpuTrace
+from tests.conftest import FakeTransport
 
 
 def make_gpu(sim, transport, owners, node=1, threshold=100, **gpu_overrides):
@@ -212,3 +217,72 @@ class TestMigration:
         assert gpu.l2.contains(PAGE_BYTES)
         gpu.invalidate_page(1)
         assert not gpu.l2.contains(PAGE_BYTES)
+
+
+# (n, index, max_outstanding, outstanding, ready_at): exhausted or not,
+# at, under or (defensively) over its cap, gap elapsed or still running
+_lane_states = st.tuples(
+    st.integers(0, 3), st.integers(0, 3), st.integers(1, 3), st.integers(0, 4), st.integers(0, 20)
+)
+
+
+class TestIssuePump:
+    @staticmethod
+    def _device(states, pointer):
+        sim = Simulator()
+        gpu, _ = make_gpu(sim, FakeTransport(sim), {0: 0})
+        for lane_id, (n, index, cap, outstanding, ready_at) in enumerate(states):
+            lane = ComputeUnitLane(lane_id, [], max_outstanding=cap)
+            lane.n, lane.index = n, min(index, n)
+            lane.outstanding, lane.ready_at = outstanding, ready_at
+            gpu.lanes.append(lane)
+        gpu._rr_next = pointer % len(states)
+        return gpu
+
+    @staticmethod
+    def _reference(lanes, pointer, now, window_open):
+        """The pump before the single scan: the ready-lane list granted by
+        a RoundRobinArbiter, then a separate wakeup scan of every lane."""
+        arbiter = RoundRobinArbiter(range(len(lanes)))
+        arbiter._next = pointer
+        ready = [
+            l.lane_id
+            for l in lanes
+            if l.index < l.n and l.outstanding < l.max_outstanding and now >= l.ready_at
+        ]
+        winner = arbiter.grant(ready) if window_open and ready else None
+        waiting = [
+            l.ready_at
+            for l in lanes
+            if l.index < l.n and l.outstanding < l.max_outstanding and now < l.ready_at
+        ]
+        return winner, arbiter._next, min(waiting, default=None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        states=st.lists(_lane_states, min_size=1, max_size=12),
+        pointer=st.integers(0, 11),
+        now=st.integers(0, 20),
+        window_open=st.booleans(),
+    )
+    def test_single_scan_matches_arbiter_and_wakeup_scan(self, states, pointer, now, window_open):
+        gpu = self._device(states, pointer)
+        pointer = gpu._rr_next
+        winner, next_pointer, next_time = self._reference(gpu.lanes, pointer, now, window_open)
+        got_winner, got_next_time = gpu._grant_lane(now, window_open)
+        assert got_winner == winner
+        assert gpu._rr_next == next_pointer
+        if winner is None:
+            assert got_next_time == next_time
+
+    def test_no_waiting_lane_arms_no_wakeup(self):
+        # one exhausted lane, one at its cap: nothing ready, nothing waiting
+        gpu = self._device([(0, 0, 1, 0, 5), (2, 0, 1, 1, 5)], 0)
+        assert gpu._grant_lane(0, True) == (None, None)
+        gpu._pump()
+        assert gpu._wakeup is None
+
+    def test_pump_arms_wakeup_for_earliest_waiting_lane(self):
+        gpu = self._device([(2, 0, 1, 0, 9), (2, 0, 1, 0, 4), (2, 0, 1, 1, 1)], 2)
+        gpu._pump()
+        assert gpu._wakeup.time == 4 and gpu._rr_next == 2
