@@ -41,18 +41,24 @@ class Channel:
 
     def send(self, packet: Packet, now: int) -> int:
         """Accept ``packet`` at cycle ``now``; return its arrival cycle."""
-        start = max(now, self.busy_until)
-        ser = self.serialization_cycles(packet.size_bytes)
-        self.busy_until = start + ser
+        size = packet.size_bytes
+        meta = packet.meta_bytes
+        busy = self.busy_until
+        start = busy if busy > now else now
+        # Inlined serialization_cycles: the same ceil, floored at 1.
+        ser = ceil(size / self.bytes_per_cycle)
+        if ser < 1:
+            ser = 1
+        busy = self.busy_until = start + ser
         # Inlined Counter.add: six bumps per packet per stage make this the
         # densest counter site in the simulator.
-        self._bytes.value += packet.size_bytes
-        self._base_bytes.value += packet.base_bytes
-        self._meta_bytes.value += packet.meta_bytes
+        self._bytes.value += size
+        self._base_bytes.value += size - meta
+        self._meta_bytes.value += meta
         self._packets.value += 1
         self._queue_cycles.value += start - now
         self._busy_cycles.value += ser
-        return self.busy_until + self.latency
+        return busy + self.latency
 
     @property
     def total_bytes(self) -> int:

@@ -254,13 +254,18 @@ class Topology:
     def send(self, packet: Packet, now: int) -> int:
         """Move ``packet`` through its path; returns the arrival cycle."""
         t = now
-        for stage in self.path(packet.src, packet.dst):
+        stages = self._path_cache.get((packet.src, packet.dst))
+        if stages is None:
+            stages = self.path(packet.src, packet.dst)
+        for stage in stages:
             t = stage.send(packet, t)
         # Inlined Counter.add: one message-level bump per counter, on the
         # per-packet hot path.
-        self._bytes.value += packet.size_bytes
-        self._base_bytes.value += packet.base_bytes
-        self._meta_bytes.value += packet.meta_bytes
+        size = packet.size_bytes
+        meta = packet.meta_bytes
+        self._bytes.value += size
+        self._base_bytes.value += size - meta
+        self._meta_bytes.value += meta
         self._packets.value += 1
         return t
 

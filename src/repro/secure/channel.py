@@ -53,9 +53,6 @@ from repro.transport import DeliveryHandler
 #: Histogram bin edges of Figs 15/16.
 BURST_EDGES = [40, 160, 640, 2560]
 
-#: Kinds excluded from the request timelines (protocol housekeeping).
-_HOUSEKEEPING = frozenset({PacketKind.SEC_ACK, PacketKind.SEC_NACK, PacketKind.BATCH_MAC})
-
 
 class _PendingMessage:
     """Sender-side retransmission state for one in-flight data block."""
@@ -103,6 +100,8 @@ class _TransportBase:
             node: IntervalSeries(f"node{node}", cfg.timeline_interval)
             for node in topology.nodes()
         }
+        #: per-destination timeline channel names, built once
+        self._to_names: dict[int, str] = {node: f"to{node}" for node in topology.nodes()}
         self.burst16 = Histogram("burst16", BURST_EDGES)
         self.burst32 = Histogram("burst32", BURST_EDGES)
         self._burst_state: dict[tuple[int, int], list[int]] = {}
@@ -159,17 +158,18 @@ class _TransportBase:
 
     def _note_send(self, packet: Packet, now: int) -> None:
         self.messages_sent += 1
-        if packet.kind in _HOUSEKEEPING:
-            return
+        if packet.kind.housekeeping:
+            return  # protocol housekeeping stays off the request timelines
         timeline = self.timelines[packet.src]
         timeline.record(now, "send")
-        timeline.record(now, f"to{packet.dst}")
+        timeline.record(now, self._to_names[packet.dst])
 
     def _note_arrival(self, packet: Packet, now: int) -> None:
-        if packet.kind in _HOUSEKEEPING:
+        kind = packet.kind
+        if kind.housekeeping:
             return
         self.timelines[packet.dst].record(now, "recv")
-        if packet.kind.carries_data:
+        if kind.carries_data:
             self.data_blocks += 1
             self._track_burst(packet.src, packet.dst, now)
 
@@ -373,11 +373,17 @@ class SecureTransport(_TransportBase):
     # Send path
     # ------------------------------------------------------------------
     def send(self, packet: Packet, now: int) -> None:
-        if packet.kind in _HOUSEKEEPING:
+        # The clean path reads each per-message fact once into a local and
+        # tests each dormant hostile layer once: this runs for every
+        # secured message of every cell.
+        kind = packet.kind
+        if kind.housekeeping:
             raise ValueError("ACK/batch-MAC packets are generated by the transport itself")
         self._note_send(packet, now)
 
-        if not packet.kind.carries_data and not self.cfg.security.protect_requests:
+        carries_data = kind.carries_data
+        sec = self.cfg.security
+        if not carries_data and not sec.protect_requests:
             # Control messages (read requests, write acks, migration
             # requests) carry addresses, not data; the paper's protocol
             # authenticated-encrypts *data* transfers (Figs 5/19) and
@@ -391,26 +397,33 @@ class SecureTransport(_TransportBase):
             )
             return
 
-        sec = self.cfg.security
         src, dst = packet.src, packet.dst
+        pair = (src, dst)
         engine = self.engines[src]
+        scheme = self.schemes[src]
+        guarded = self._recovery and carries_data
         # head-of-line: the pad acquisition happens when this message
         # reaches the front of the pair's crypto queue
-        demand = packet.kind is not PacketKind.MIGRATION_DATA
+        demand = kind is not PacketKind.MIGRATION_DATA
         # monitoring observes the message as it enqueues, before any stall
-        self.schemes[src].note_send(dst, now, demand=demand)
-        start = max(now, self._send_crypto_busy.get((src, dst), 0))
-        send_grant = self.schemes[src].acquire_send(dst, start, demand=demand)
-        self._send_crypto_busy[(src, dst)] = start + send_grant.grant.wait
-        counter = self._next_counter(src, dst)
-        if self.monitor is not None:
-            self.monitor.on_send_pad(src, dst, counter)
+        scheme.note_send(dst, now, demand=demand)
+        busy = self._send_crypto_busy.get(pair, 0)
+        start = busy if busy > now else now
+        send_grant = scheme.acquire_send(dst, start, demand=demand)
+        ready = start + send_grant.grant.wait
+        self._send_crypto_busy[pair] = ready
+        counter = self._ctrs.get(pair, 0)
+        self._ctrs[pair] = counter + 1
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.on_counter(src, dst, counter)
+            monitor.on_send_pad(src, dst, counter)
 
         batch_ctx = None
-        if sec.batching and self.accountant.batchable(packet.kind):
+        if sec.batching and kind.batchable:
             grant = self.batchers[src].add_block(dst, now)
             meta = self.accountant.batched_block_meta(grant.opens_batch, grant.closes_batch)
-            if self._recovery:
+            if guarded:
                 # Hostile-channel batching verifies every block eagerly, so
                 # each block keeps its own MsgMAC on the wire.
                 meta += self.accountant.eager_block_mac_bytes()
@@ -421,26 +434,27 @@ class SecureTransport(_TransportBase):
                     sec.batch_timeout,
                     lambda s=src, d=dst, b=grant.batch_id: self._batch_timeout(s, d, b),
                 )
-            if self.accountant.needs_ack(packet.kind):
-                # Batched blocks are ACKed once per batch: tag the entry so
-                # the guard retires it on *that* batch's ACK, not blindly
-                # from the FIFO head (conventional ACKs overtake batch ACKs
-                # by design — the batch waits for its close).
-                self.guards[src].on_send(dst, counter, batch_id=grant.batch_id)
+            # Batched blocks are ACKed once per batch: tag the entry so
+            # the guard retires it on *that* batch's ACK, not blindly
+            # from the FIFO head (conventional ACKs overtake batch ACKs
+            # by design — the batch waits for its close).  Every
+            # batchable kind carries data, so every one is ACKed.
+            self.guards[src].on_send(dst, counter, batch_id=grant.batch_id)
         else:
             meta = self.accountant.conventional_meta(packet)
             self.conventional_msgs += 1
-            if self.accountant.needs_ack(packet.kind):
+            if carries_data:
                 self.guards[src].on_send(dst, counter)
 
         packet.size_bytes += meta
         packet.meta_bytes = meta
         engine.count_mac()
 
-        if self.audit_log is not None:
+        audit_log = self.audit_log
+        if audit_log is not None:
             from repro.secure.audit import AuditEntry
 
-            self.audit_log.append(
+            audit_log.append(
                 AuditEntry(
                     src=src,
                     dst=dst,
@@ -451,13 +465,9 @@ class SecureTransport(_TransportBase):
                 )
             )
 
-        launch_at = (
-            start
-            + send_grant.grant.wait
-            + engine.mac_fast_path
-            + engine.encrypt_fast_path
-        )
-        if self._recovery and packet.kind.carries_data:
+        launch_at = ready + engine.mac_fast_path + engine.encrypt_fast_path
+        synced = send_grant.receiver_synced
+        if guarded:
             # Batched blocks are ACKed at batch close, which may lag by the
             # batch timeout; the sender's RTO accounts for that known delay
             # so a slow batch is not mistaken for a lost block.
@@ -465,13 +475,18 @@ class SecureTransport(_TransportBase):
             if batch_ctx is not None:
                 rto += sec.batch_timeout
             pending = _PendingMessage(packet, counter, batch_ctx, rto, launch_at)
-            self._pending.setdefault((src, dst), {})[packet.pid] = pending
+            self._pending.setdefault(pair, {})[packet.pid] = pending
             self._counter_owner[(src, dst, counter)] = packet.pid
+            self.sim.post_at(
+                launch_at,
+                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._launch_guarded(
+                    p, s, b, c
+                ),
+            )
+            return
         self.sim.post_at(
             launch_at,
-            lambda p=packet, s=send_grant.receiver_synced, b=batch_ctx, c=counter: self._launch(
-                p, s, b, c
-            ),
+            lambda p=packet, s=synced, b=batch_ctx, c=counter: self._launch(p, s, b, c),
         )
 
     def _next_counter(self, src: int, dst: int) -> int:
@@ -483,9 +498,8 @@ class SecureTransport(_TransportBase):
         return ctr
 
     def _launch(self, packet: Packet, synced: bool, batch_ctx, counter: int) -> None:
-        if self._recovery and packet.kind.carries_data:
-            self._launch_guarded(packet, synced, batch_ctx, counter)
-            return
+        """Put a clean-channel copy on the link (hostile copies take
+        :meth:`_launch_guarded`, chosen when the message was sent)."""
         arrival = self.topology.send(packet, self.sim.now)
         self.sim.post_at(
             arrival,
@@ -677,11 +691,12 @@ class SecureTransport(_TransportBase):
         origin: tuple[int, int] | None = None,
     ) -> None:
         now = self.sim.now
-        sec = self.cfg.security
+        kind = packet.kind
         src, dst = packet.src, packet.dst
-        guarded = self._recovery and packet.kind.carries_data
+        pair = (src, dst)
+        guarded = self._recovery and kind.carries_data
         if guarded:
-            seen = self._recv_seen.setdefault((src, dst), set())
+            seen = self._recv_seen.setdefault(pair, set())
             if counter in seen:
                 if attack is not None:
                     # The plaintext counter check rejects the attacked copy
@@ -694,7 +709,7 @@ class SecureTransport(_TransportBase):
                         if attack is AttackKind.REPLAY
                         else "counter_reject"
                     )
-                    self._attack_detected(attack, origin or (src, dst), event)
+                    self._attack_detected(attack, origin or pair, event)
                     return
                 # Wire replay (link echo): rejected the same way.
                 if self.fault_stats is not None:
@@ -704,27 +719,29 @@ class SecureTransport(_TransportBase):
             if attack is None or attack not in ALIEN_KINDS:
                 seen.add(counter)
         engine = self.engines[dst]
-        demand = packet.kind is not PacketKind.MIGRATION_DATA
-        self.schemes[dst].note_recv(src, now, demand=demand)
-        start = max(now, self._recv_crypto_busy.get((src, dst), 0))
-        recv_grant = self.schemes[dst].acquire_recv(src, start, synced=synced, demand=demand)
-        self._recv_crypto_busy[(src, dst)] = start + recv_grant.wait
+        scheme = self.schemes[dst]
+        demand = kind is not PacketKind.MIGRATION_DATA
+        scheme.note_recv(src, now, demand=demand)
+        busy = self._recv_crypto_busy.get(pair, 0)
+        start = busy if busy > now else now
+        ready = start + scheme.acquire_recv(src, start, synced=synced, demand=demand).wait
+        self._recv_crypto_busy[pair] = ready
         # Tampered/alien copies burn this pair's receive pad at the counter
         # they *claim* and then die at the MsgMAC — wasted-pad cost, not a
         # security double-use, so they stay out of the single-use ledger
         # (the legitimate block under the same counter still must be unique).
         if (
-            self.monitor is not None
-            and guarded
+            guarded
+            and self.monitor is not None
             and (attack is None or attack not in TAMPER_KINDS)
         ):
             self.monitor.on_recv_pad(src, dst, counter)
 
         # A hostile link forfeits lazy verification: batched blocks verify
         # eagerly so corruption is caught before the block leaves the NoC.
-        lazy = sec.batching and self.accountant.batchable(packet.kind) and not guarded
+        lazy = kind.batchable and self.cfg.security.batching and not guarded
         verify = 0 if lazy else engine.mac_fast_path
-        deliver_at = start + recv_grant.wait + engine.encrypt_fast_path + verify
+        deliver_at = ready + engine.encrypt_fast_path + verify
         if corrupted:
             self.sim.post_at(
                 deliver_at,
@@ -734,7 +751,7 @@ class SecureTransport(_TransportBase):
         if attack is not None and attack in TAMPER_KINDS:
             self.sim.post_at(
                 deliver_at,
-                lambda p=packet, c=counter, a=attack, o=origin or (src, dst): (
+                lambda p=packet, c=counter, a=attack, o=origin or pair: (
                     self._attack_rejected(p, c, a, o)
                 ),
             )
@@ -748,8 +765,11 @@ class SecureTransport(_TransportBase):
         self, packet: Packet, batch_ctx, counter: int, attack: AttackKind | None = None
     ) -> None:
         now = self.sim.now
-        if self._recovery and packet.kind.carries_data:
-            delivered = self._delivered_pids.setdefault((packet.src, packet.dst), set())
+        kind = packet.kind
+        src, dst = packet.src, packet.dst
+        carries_data = kind.carries_data
+        if self._recovery and carries_data:
+            delivered = self._delivered_pids.setdefault((src, dst), set())
             if packet.pid in delivered:
                 # A late original raced its own retransmit: identical
                 # content, different counter.  Deliver exactly once.
@@ -776,13 +796,11 @@ class SecureTransport(_TransportBase):
                 # a link fault destroyed (replay).
                 self.attack_report.note_harmless(attack)
                 self._note_adv(f"{attack.value}_absorbed")
-        if self.monitor is not None and packet.kind.carries_data:
-            self.monitor.on_delivered(packet.src, packet.dst, counter, packet.pid)
+        if self.monitor is not None and carries_data:
+            self.monitor.on_delivered(src, dst, counter, packet.pid)
         self._note_arrival(packet, now)
-        sec = self.cfg.security
-        src, dst = packet.src, packet.dst
 
-        if sec.batching and self.accountant.batchable(packet.kind):
+        if kind.batchable and self.cfg.security.batching:
             self.mac_storage[dst].store(src)
             self._batch_block_arrived(
                 src,
@@ -790,7 +808,7 @@ class SecureTransport(_TransportBase):
                 batch_ctx.batch_id,
                 expected=batch_ctx.batch_size if batch_ctx.closes_batch else None,
             )
-        elif self.accountant.needs_ack(packet.kind):
+        elif carries_data:
             self._send_ack(dst, src, retire=1, counter=counter)
 
         self._deliver(packet, now)
@@ -872,7 +890,8 @@ class SecureTransport(_TransportBase):
         if not self.cfg.security.count_metadata:
             # +SecureCommu mode: account the protocol without its bandwidth.
             self.guards[to_node].on_ack(from_node, counter, retire, batch_id=batch_id)
-            self._resolve_acked(to_node, from_node, counter, retire, batch_id)
+            if self._recovery:
+                self._resolve_acked(to_node, from_node, counter, retire, batch_id)
             return
         ack = Packet(
             kind=PacketKind.SEC_ACK,
@@ -892,7 +911,8 @@ class SecureTransport(_TransportBase):
     def _ack_retire(self, ack: Packet, counter: int | None, batch_id: int | None = None) -> None:
         # ack.dst is the original sender whose replay table retires entries
         self.guards[ack.dst].on_ack(ack.src, counter, retire=ack.txn_id, batch_id=batch_id)
-        self._resolve_acked(ack.dst, ack.src, counter, ack.txn_id, batch_id)
+        if self._recovery:
+            self._resolve_acked(ack.dst, ack.src, counter, ack.txn_id, batch_id)
 
     # ------------------------------------------------------------------
     # Fault recovery: detection, NACK/timeout, retransmission
@@ -905,9 +925,8 @@ class SecureTransport(_TransportBase):
         retire: int,
         batch_id: int | None,
     ) -> None:
-        """Settle retransmission state for blocks the receiver just ACKed."""
-        if not self._recovery:
-            return
+        """Settle retransmission state for blocks the receiver just ACKed
+        (called only when the recovery protocol is armed)."""
         pair = self._pending.get((sender, receiver))
         if not pair:
             return
@@ -1113,8 +1132,8 @@ class SecureTransport(_TransportBase):
         )
         self.sim.post_at(
             launch_at,
-            lambda p=packet, s=send_grant.receiver_synced, b=pending.batch_ctx, c=counter: self._launch(
-                p, s, b, c
+            lambda p=packet, s=send_grant.receiver_synced, b=pending.batch_ctx, c=counter: (
+                self._launch_guarded(p, s, b, c)
             ),
         )
 

@@ -130,9 +130,11 @@ class InvariantMonitor:
                 f"replay guard node {guard.node} accepted an ACK at reorder "
                 f"depth {guard.max_reorder_depth} outside window {window}"
             )
-        settled = guard.acked + guard.dropped
-        sent = settled + guard.outstanding()
-        if guard.acked < 0 or guard.dropped < 0 or sent < settled:
+        if (
+            guard.acked < 0
+            or guard.dropped < 0
+            or guard.sent != guard.acked + guard.dropped + guard.outstanding()
+        ):
             self._flag(f"replay guard node {guard.node} ledger inconsistent")
 
     def check_attack_report(self, report: AttackReport) -> None:

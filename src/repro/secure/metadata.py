@@ -15,13 +15,11 @@ from repro.interconnect.packet import Packet, PacketKind
 #: Message kinds that carry a data payload and therefore get ACKed for
 #: replay protection (read requests are implicitly covered by their
 #: responses; ACK kinds are never themselves ACKed).
-ACKED_KINDS = frozenset(
-    {PacketKind.DATA_RESP, PacketKind.WRITE_REQ, PacketKind.MIGRATION_DATA}
-)
+ACKED_KINDS = frozenset(k for k in PacketKind if k.carries_data)
 
 #: Data kinds eligible for metadata batching (the paper batches data
 #: responses and page-migration streams; writes stay conventional).
-BATCHABLE_KINDS = frozenset({PacketKind.DATA_RESP, PacketKind.MIGRATION_DATA})
+BATCHABLE_KINDS = frozenset(k for k in PacketKind if k.batchable)
 
 
 class MetadataAccountant:
@@ -76,11 +74,11 @@ class MetadataAccountant:
 
     @staticmethod
     def needs_ack(kind: PacketKind) -> bool:
-        return kind in ACKED_KINDS
+        return kind.carries_data
 
     @staticmethod
     def batchable(kind: PacketKind) -> bool:
-        return kind in BATCHABLE_KINDS
+        return kind.batchable
 
 
 __all__ = ["MetadataAccountant", "ACKED_KINDS", "BATCHABLE_KINDS"]

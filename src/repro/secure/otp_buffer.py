@@ -37,13 +37,22 @@ class PadOutcome(Enum):
     PARTIAL = "partial"
     MISS = "miss"
 
+    #: the outcome's statistics key, a plain attribute equal to ``value``
+    #: (``Enum.value`` is a descriptor, too slow to read once per pad)
+    label: str
+
+
+for _outcome in PadOutcome:
+    _outcome.label = _outcome.value
+del _outcome
+
 
 @dataclass(frozen=True, slots=True)
 class PadGrant:
     """Result of acquiring a pad: how long the message waited and why.
 
-    One grant is allocated per secured message; ``slots=True`` keeps that
-    per-message cost minimal.
+    Every hit shares :data:`HIT_GRANT`; only partials and misses allocate
+    a grant, and ``slots=True`` keeps that cost minimal.
     """
 
     wait: int
@@ -52,6 +61,10 @@ class PadGrant:
     @property
     def hidden(self) -> bool:
         return self.outcome is PadOutcome.HIT
+
+
+#: The one grant every fully hidden pad acquisition returns.
+HIT_GRANT = PadGrant(wait=0, outcome=PadOutcome.HIT)
 
 
 class PadStream:
@@ -85,17 +98,22 @@ class PadStream:
         """Take a pad for the next counter value at cycle ``now``."""
         self.last_use = now
         self.consumed += 1
-        if not self._ready:
+        ready = self._ready
+        latency = self.latency
+        if not ready:
             # No buffer entry at all: generate on demand, nothing to refill.
-            return PadGrant(wait=self.latency, outcome=PadOutcome.MISS)
-        ready = heapq.heappop(self._ready)
+            return PadGrant(wait=latency, outcome=PadOutcome.MISS)
+        wait = heapq.heappop(ready) - now
+        # The freed entry immediately begins pre-generating a future pad.
+        heapq.heappush(ready, now + latency)
+        if wait <= 0:
+            return HIT_GRANT
+        if wait < latency:
+            return PadGrant(wait=wait, outcome=PadOutcome.PARTIAL)
         # Pipelined engine: even if the pre-generation pipeline is behind,
         # on-demand generation for this message starts *now*, so the wait
         # never exceeds one generation latency.
-        wait = min(max(0, ready - now), self.latency)
-        # The freed entry immediately begins pre-generating a future pad.
-        heapq.heappush(self._ready, now + self.latency)
-        return PadGrant(wait=wait, outcome=self._classify(wait))
+        return PadGrant(wait=latency, outcome=PadOutcome.MISS)
 
     def consume_desync(self, now: int) -> PadGrant:
         """Take a pad whose buffered pre-generations were all wrong.
@@ -110,13 +128,6 @@ class PadStream:
             heapq.heappop(self._ready)
             heapq.heappush(self._ready, now + self.latency)
         return PadGrant(wait=self.latency, outcome=PadOutcome.MISS)
-
-    def _classify(self, wait: int) -> PadOutcome:
-        if wait <= 0:
-            return PadOutcome.HIT
-        if wait < self.latency:
-            return PadOutcome.PARTIAL
-        return PadOutcome.MISS  # wait == latency: generated on demand
 
     # ------------------------------------------------------------------
     # Capacity management (Dynamic / Cached reallocate entries at runtime)
@@ -153,4 +164,4 @@ class PadStream:
             self.shrink(-delta)
 
 
-__all__ = ["PadOutcome", "PadGrant", "PadStream"]
+__all__ = ["HIT_GRANT", "PadOutcome", "PadGrant", "PadStream"]

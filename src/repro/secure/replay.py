@@ -54,6 +54,7 @@ class ReplayGuard:
         #: peer -> counters currently tagged as batch-pending
         self._tagged: dict[int, set[int]] = {}
         self.max_outstanding = 0
+        self.sent = 0  # entries ever retained by on_send
         self.acked = 0
         self.violations = 0
         self.dropped = 0  # entries retired as lost-in-flight, never ACKed
@@ -74,8 +75,12 @@ class ReplayGuard:
         if batch_id is not None:
             self._batch_members.setdefault((peer, batch_id), []).append(counter)
             self._tagged.setdefault(peer, set()).add(counter)
-        total = sum(len(q) for q in self._outstanding.values())
-        self.max_outstanding = max(self.max_outstanding, total)
+        self.sent += 1
+        # Every removal from a queue bumps ``acked`` or ``dropped``, so this
+        # is the table's occupancy without summing over the peers.
+        occupancy = self.sent - self.acked - self.dropped
+        if occupancy > self.max_outstanding:
+            self.max_outstanding = occupancy
 
     def on_ack(
         self,

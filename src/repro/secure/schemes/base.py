@@ -23,7 +23,7 @@ from repro.secure.otp_buffer import PadGrant
 from repro.sim.stats import RatioStat, StatsRegistry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendGrant:
     """Sender-side pad grant plus the receiver-sync declaration."""
 
@@ -93,11 +93,11 @@ class OtpScheme(ABC):
     # Shared bookkeeping
     # ------------------------------------------------------------------
     def _record_send(self, grant: PadGrant) -> None:
-        self._send_outcomes.record(grant.outcome.value)
+        self._send_outcomes.record(grant.outcome.label)
         self.engine.count_pad()
 
     def _record_recv(self, grant: PadGrant) -> None:
-        self._recv_outcomes.record(grant.outcome.value)
+        self._recv_outcomes.record(grant.outcome.label)
         self.engine.count_pad()
 
     @property

@@ -119,7 +119,9 @@ class IntervalSeries:
 
     def record(self, time: int, channel: str, amount: float = 1.0) -> None:
         bucket = time // self.interval
-        chan = self._channels.setdefault(channel, {})
+        chan = self._channels.get(channel)
+        if chan is None:  # not setdefault: that builds a dict on every call
+            chan = self._channels[channel] = {}
         chan[bucket] = chan.get(bucket, 0.0) + amount
 
     def channels(self) -> list[str]:

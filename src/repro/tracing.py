@@ -23,13 +23,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.interconnect.packet import Packet, PacketKind
+from repro.interconnect.packet import Packet
 from repro.system import MultiGpuSystem
-
-#: Transport-generated housekeeping: sent but never fed to the arrival
-#: hook, so tracking them in the pending-send table would leak an entry
-#: per ACK.  (Mirrors the transport's own timeline exclusions.)
-_HOUSEKEEPING = frozenset({PacketKind.SEC_ACK, PacketKind.SEC_NACK, PacketKind.BATCH_MAC})
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,10 @@ class MessageTracer:
         original_fault = transport._note_fault
 
         def note_send(packet, now):
-            if packet.kind not in _HOUSEKEEPING:
+            # Transport-generated housekeeping is sent but never fed to
+            # the arrival hook, so tracking it in the pending-send table
+            # would leak an entry per ACK.
+            if not packet.kind.housekeeping:
                 self._sent[packet.pid] = (packet, now)
             original_send(packet, now)
 

@@ -6,6 +6,7 @@ from repro.interconnect.arbiter import RoundRobinArbiter
 from repro.interconnect.link import Channel, Link
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import CPU_NODE, Topology
+from repro.secure.metadata import ACKED_KINDS, BATCHABLE_KINDS
 
 
 def mk_packet(src=1, dst=2, size=80, meta=0, kind=PacketKind.DATA_RESP):
@@ -31,6 +32,17 @@ class TestPacket:
         assert PacketKind.MIGRATION_DATA.carries_data
         assert not PacketKind.READ_REQ.carries_data
         assert not PacketKind.SEC_ACK.carries_data
+
+    @pytest.mark.parametrize("kind", list(PacketKind), ids=lambda k: k.name)
+    def test_kind_flags_define_the_protocol_classes(self, kind):
+        # The flags are the one definition of each kind class: the secure
+        # layer's ACK and batching sets and the housekeeping kinds must
+        # agree with them member for member.
+        assert kind.carries_data == (kind in ACKED_KINDS)
+        assert kind.batchable == (kind in BATCHABLE_KINDS)
+        assert kind.housekeeping == (
+            kind in {PacketKind.SEC_ACK, PacketKind.SEC_NACK, PacketKind.BATCH_MAC}
+        )
 
     def test_packet_ids_unique(self):
         assert mk_packet().pid != mk_packet().pid

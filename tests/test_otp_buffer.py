@@ -1,8 +1,12 @@
 """PadStream semantics: the hit/partial/miss timing model."""
 
-import pytest
+import heapq
 
-from repro.secure.otp_buffer import PadOutcome, PadStream
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.secure.otp_buffer import HIT_GRANT, PadOutcome, PadStream
 
 L = 40  # generation latency used throughout
 
@@ -120,3 +124,93 @@ class TestAccounting:
         assert s.earliest_ready() == 5 + L
         s.shrink(1)
         assert s.earliest_ready() is None
+
+
+# ---------------------------------------------------------------------------
+# Differential: consume() against the clamp-and-classify formula
+# ---------------------------------------------------------------------------
+class _ReferencePads:
+    """The pad heap with the wait computed as ``min(max(0, ready - now),
+    latency)`` and classified afterwards, one grant per call."""
+
+    def __init__(self, latency: int, capacity: int, prefilled: bool) -> None:
+        self.latency = latency
+        self.ready = [0 if prefilled else latency] * capacity
+        heapq.heapify(self.ready)
+
+    def classify(self, wait: int) -> PadOutcome:
+        if wait <= 0:
+            return PadOutcome.HIT
+        if wait < self.latency:
+            return PadOutcome.PARTIAL
+        return PadOutcome.MISS
+
+    def consume(self, now: int) -> tuple[int, PadOutcome]:
+        if not self.ready:
+            return self.latency, PadOutcome.MISS
+        ready = heapq.heappop(self.ready)
+        wait = min(max(0, ready - now), self.latency)
+        heapq.heappush(self.ready, now + self.latency)
+        return wait, self.classify(wait)
+
+    def consume_desync(self, now: int) -> tuple[int, PadOutcome]:
+        if self.ready:
+            heapq.heappop(self.ready)
+            heapq.heappush(self.ready, now + self.latency)
+        return self.latency, PadOutcome.MISS
+
+    def grow(self, now: int, n: int) -> None:
+        for _ in range(n):
+            heapq.heappush(self.ready, now + self.latency)
+
+    def shrink(self, n: int) -> None:
+        for _ in range(min(n, len(self.ready))):
+            self.ready.remove(max(self.ready))
+        heapq.heapify(self.ready)
+
+    def set_capacity(self, now: int, capacity: int) -> None:
+        delta = capacity - len(self.ready)
+        if delta > 0:
+            self.grow(now, delta)
+        else:
+            self.shrink(-delta)
+
+
+_pad_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["consume", "consume_desync", "grow", "shrink", "set_capacity"]),
+        st.integers(0, 60),  # cycles since the previous operation
+        st.integers(0, 6),  # entry count for grow / shrink / set_capacity
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    latency=st.integers(1, 50),
+    capacity=st.integers(0, 6),
+    prefilled=st.booleans(),
+    ops=_pad_ops,
+)
+def test_consume_matches_the_clamp_formula(latency, capacity, prefilled, ops):
+    stream = PadStream(latency, capacity, prefilled=prefilled)
+    ref = _ReferencePads(latency, capacity, prefilled)
+    now = 0
+    for op, gap, n in ops:
+        now += gap
+        if op in ("consume", "consume_desync"):
+            grant = getattr(stream, op)(now)
+            assert (grant.wait, grant.outcome) == getattr(ref, op)(now)
+            if grant.outcome is PadOutcome.HIT:
+                assert grant is HIT_GRANT
+        elif op == "grow":
+            stream.grow(now, n)
+            ref.grow(now, n)
+        elif op == "shrink":
+            stream.shrink(n)
+            ref.shrink(n)
+        else:
+            stream.set_capacity(now, n)
+            ref.set_capacity(now, n)
+        assert stream._ready == ref.ready

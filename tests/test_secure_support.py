@@ -1,6 +1,8 @@
 """Engine model, metadata accountant, and replay guard tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.configs import MetadataConfig
 from repro.interconnect.packet import Packet, PacketKind
@@ -326,3 +328,48 @@ class TestReplayGuardMixedChannels:
         assert g.on_ack(2, batch_id=4)
         assert g.acked == 1 and g.dropped == 1
         assert g.outstanding(2) == 0
+
+
+# ---------------------------------------------------------------------------
+# Differential: the O(1) occupancy against the old sum over every peer
+# ---------------------------------------------------------------------------
+_PEERS = (2, 3, 4)
+
+_guard_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.sampled_from(_PEERS), st.none() | st.integers(0, 3)),
+        st.tuples(st.just("fifo_ack"), st.sampled_from(_PEERS), st.integers(1, 3)),
+        st.tuples(st.just("counter_ack"), st.sampled_from(_PEERS), st.integers(0, 40)),
+        st.tuples(st.just("batch_ack"), st.sampled_from(_PEERS), st.integers(0, 3)),
+        st.tuples(st.just("retire_lost"), st.sampled_from(_PEERS), st.integers(0, 40)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_guard_ops, window=st.sampled_from([0, 1, 3]))
+def test_replay_guard_occupancy_matches_the_peer_sum(ops, window):
+    """``sent - acked - dropped`` is the table's occupancy after every step,
+    and ``max_outstanding`` is the peak of the sum over all peer queues that
+    ``on_send`` used to compute."""
+    g = ReplayGuard(1, window=window)
+    next_counter = {peer: 0 for peer in _PEERS}
+    peak = 0
+    for op, peer, arg in ops:
+        if op == "send":
+            g.on_send(peer, next_counter[peer], batch_id=arg)
+            next_counter[peer] += 1
+            # the reference: the old O(peers) sum, taken after every send
+            peak = max(peak, sum(g.outstanding(p) for p in _PEERS))
+        elif op == "fifo_ack":
+            g.on_ack(peer, retire=arg)
+        elif op == "counter_ack":
+            # counters past the last one sent are forged or replayed ACKs
+            g.on_ack(peer, counter=arg)
+        elif op == "batch_ack":
+            g.on_ack(peer, batch_id=arg)
+        else:
+            g.retire_lost(peer, arg)
+        assert g.sent - g.acked - g.dropped == g.outstanding()
+    assert g.max_outstanding == peak
