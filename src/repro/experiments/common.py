@@ -145,6 +145,33 @@ class ExperimentRunner:
         return results
 
 
+def ledger_grid(runner, schemes, columns, config_for, ledger_of, empty):
+    """Run every (workload, scheme, column) cell as one batch.
+
+    Returns ``(slowdowns, totals)``, both ``scheme -> column -> value``:
+    the geomean slowdown over the runner's workloads vs. the pristine
+    unsecure baseline, and the cells' ledgers merged into ``empty()``.
+    ``config_for(scheme, column)`` builds a cell's config; ``ledger_of``
+    picks a report's ledger (``None`` when its layer was dormant).
+    """
+    grid = [(spec, scheme, col) for spec in runner.workloads for scheme in schemes for col in columns]
+    cells = [(spec, config_for(scheme, col)) for spec, scheme, col in grid]
+    reports = dict(zip(grid, runner.run_many(cells)))
+    slowdowns = {scheme: {} for scheme in schemes}
+    totals = {scheme: {} for scheme in schemes}
+    for scheme in schemes:
+        for col in columns:
+            ratios, merged = [], empty()
+            for spec in runner.workloads:
+                report = reports[(spec, scheme, col)]
+                ratios.append(report.slowdown_vs(runner.baseline(spec)))
+                if ledger_of(report) is not None:
+                    merged.merge(ledger_of(report))
+            slowdowns[scheme][col] = geometric_mean(ratios)
+            totals[scheme][col] = merged
+    return slowdowns, totals
+
+
 def multi_seed_slowdowns(
     configs: dict[str, SystemConfig],
     seeds: tuple[int, ...] = (1, 2, 3),

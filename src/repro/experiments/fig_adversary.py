@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 from repro.configs import SystemConfig, scheme_config
 from repro.experiments.ascii_chart import hbar_chart
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, fmt, format_table, ledger_grid
 from repro.secure.adversary import AttackReport
+from repro.system import MultiGpuSystem
 from repro.workloads import get_workload
 
 #: Composite attack rate: probability any one data-block wire copy is hit.
@@ -110,9 +111,6 @@ class AdversaryResult:
     #: scheme -> mix -> attack ledgers merged across workloads
     attack_totals: dict[str, dict[str, AttackReport]] = field(default_factory=dict)
 
-    def accepted(self, scheme: str, mix: str) -> int:
-        return self.attack_totals[scheme][mix].accepted_undetected
-
 
 def run(
     runner: ExperimentRunner | None = None,
@@ -121,39 +119,15 @@ def run(
     schemes: tuple[str, ...] = SCHEMES,
 ) -> AdversaryResult:
     runner = runner or ExperimentRunner()
-    grid = [
-        (spec, scheme, mix)
-        for spec in runner.workloads
-        for scheme in schemes
-        for mix in mixes
-    ]
-    cells = [
-        (spec, adversary_config(scheme, mix, rate, n_gpus=runner.n_gpus))
-        for spec, scheme, mix in grid
-    ]
-    reports = dict(zip(grid, runner.run_many(cells)))
-    baselines = {
-        spec: runner.run(spec, scheme_config("unsecure", n_gpus=runner.n_gpus))
-        for spec in runner.workloads
-    }
-
-    result = AdversaryResult(
-        n_gpus=runner.n_gpus, rate=rate, mixes=mixes, schemes=schemes
+    slowdowns, totals = ledger_grid(
+        runner,
+        schemes,
+        mixes,
+        lambda scheme, mix: adversary_config(scheme, mix, rate, n_gpus=runner.n_gpus),
+        lambda report: report.attack_report,
+        AttackReport,
     )
-    for scheme in schemes:
-        result.slowdowns[scheme] = {}
-        result.attack_totals[scheme] = {}
-        for mix in mixes:
-            ratios = []
-            totals = AttackReport()
-            for spec in runner.workloads:
-                report = reports[(spec, scheme, mix)]
-                ratios.append(report.slowdown_vs(baselines[spec]))
-                if report.attack_report is not None:
-                    totals.merge(report.attack_report)
-            result.slowdowns[scheme][mix] = geometric_mean(ratios)
-            result.attack_totals[scheme][mix] = totals
-    return result
+    return AdversaryResult(runner.n_gpus, rate, mixes, schemes, slowdowns, totals)
 
 
 def assert_zero_undetected(result: AdversaryResult) -> int:
@@ -231,6 +205,36 @@ def check_quarantine(
             f"quarantine failover broke the contract: {ledger.as_dict()}"
         )
     return ledger
+
+
+def check_combined(scale: float = 0.05, rate: float = 2 * RATE) -> int:
+    """Link faults and attacks on the same wire copies, on every secure scheme.
+
+    Duplicate and delay faults leave each copy intact for the ``all``
+    attack mix to touch as well, so the two halves of one wire event
+    compose on a single copy.  Every cell must keep the zero-undetected
+    contract, a fully resolved ledger, the runtime invariants (checked
+    again here, after the run's own pass) and MAC-caught corruptions.
+    Returns the number of cells checked.
+    """
+    checked = 0
+    for name in SMOKE_WORKLOADS:
+        trace = get_workload(name).generate(n_gpus=4, seed=1, scale=scale)
+        for scheme in ("private", "dynamic", "batching"):
+            config = adversary_config(scheme, "all", rate).with_fault(
+                duplicate_rate=rate, delay_rate=rate, seed=1
+            )
+            system = MultiGpuSystem(config)
+            report = system.run(trace)
+            system.transport.run_invariant_checks()
+            ledger, stats = report.attack_report, report.fault_stats
+            fired = ledger.total_injected and stats.duplicates_injected and stats.delays_injected
+            caught = stats.corruptions_detected == stats.corruptions_injected
+            if ledger.accepted_undetected or ledger.unresolved or not (fired and caught):
+                raise AssertionError(f"{name}/{scheme}: {ledger.as_dict()} {stats.as_dict()}")
+            checked += 1
+    print(f"combined: {checked} secure cells with faults and attacks, 0 accepted undetected")
+    return checked
 
 
 def format_result(result: AdversaryResult) -> str:
@@ -320,6 +324,7 @@ __all__ = [
     "run",
     "assert_zero_undetected",
     "check_quarantine",
+    "check_combined",
     "format_result",
     "smoke",
 ]

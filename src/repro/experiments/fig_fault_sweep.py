@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.configs import SystemConfig, scheme_config
 from repro.experiments.ascii_chart import hbar_chart
-from repro.experiments.common import ExperimentRunner, fmt, format_table, geometric_mean
+from repro.experiments.common import ExperimentRunner, fmt, format_table, ledger_grid
 from repro.sim.stats import FaultStats
 from repro.workloads import get_workload
 
@@ -77,34 +77,15 @@ def run(
     schemes: tuple[str, ...] = SCHEMES,
 ) -> FaultSweepResult:
     runner = runner or ExperimentRunner()
-    grid = [
-        (spec, scheme, rate)
-        for spec in runner.workloads
-        for scheme in schemes
-        for rate in rates
-    ]
-    cells = [
-        (spec, fault_config(scheme, rate, n_gpus=runner.n_gpus))
-        for spec, scheme, rate in grid
-    ]
-    reports = dict(zip(grid, runner.run_many(cells)))
-
-    result = FaultSweepResult(n_gpus=runner.n_gpus, rates=rates, schemes=schemes)
-    for scheme in schemes:
-        result.slowdowns[scheme] = {}
-        result.fault_totals[scheme] = {}
-        for rate in rates:
-            ratios = []
-            totals = FaultStats()
-            for spec in runner.workloads:
-                report = reports[(spec, scheme, rate)]
-                baseline = reports[(spec, "unsecure", 0.0)]
-                ratios.append(report.slowdown_vs(baseline))
-                if report.fault_stats is not None:
-                    totals.merge(report.fault_stats)
-            result.slowdowns[scheme][rate] = geometric_mean(ratios)
-            result.fault_totals[scheme][rate] = totals
-    return result
+    slowdowns, totals = ledger_grid(
+        runner,
+        schemes,
+        rates,
+        lambda scheme, rate: fault_config(scheme, rate, n_gpus=runner.n_gpus),
+        lambda report: report.fault_stats,
+        FaultStats,
+    )
+    return FaultSweepResult(runner.n_gpus, rates, schemes, slowdowns, totals)
 
 
 def assert_no_undetected(result: FaultSweepResult) -> int:

@@ -1,31 +1,35 @@
-"""Active in-fabric adversary: seeded attack injection on wire traffic.
+"""The hostile wire: one seeded injector for link faults and attacks.
 
-Random link faults (:mod:`repro.interconnect.faults`) shake the channel;
-this module *attacks* it.  An :class:`AdversaryInjector` sits on the
-delivery path of both transports and, per secured data-block wire copy,
-rolls one of seven attacks (see :class:`~repro.configs.AdversaryConfig`):
-ciphertext bit-flip, MAC bit-flip, whole-block replay, counter-window
-reorder, truncation, cross-link splice, and forge-from-scratch.
+A :class:`WireInjector` sits on the data-block path of both transports
+and, per wire copy, rolls one *wire event*: a link-fault verdict
+(:class:`~repro.interconnect.faults.FaultVerdict`: drop, corrupt,
+duplicate, delay — see :class:`~repro.configs.FaultConfig`) and an attack
+(:class:`AttackKind`: ciphertext bit-flip, MAC bit-flip, whole-block
+replay, counter-window reorder, truncation, cross-link splice,
+forge-from-scratch — see :class:`~repro.configs.AdversaryConfig`).  The
+transports turn that event into wire copies in one shared hook
+(``_TransportBase._wire_copies`` in :mod:`repro.secure.channel`).
 
 The attacker is *link-local*: it owns one (or more) directed wires and can
 capture, mutate, re-inject, redirect, and fabricate traffic on them, but
 it holds no keys and no pads — every mutated or fabricated block fails the
 receiver's MsgMAC.  That asymmetry is the whole experiment: the secure
-schemes turn all seven attacks into detections (and recover via the PR-2
-ARQ machinery), while the unsecure fabric consumes attacker-controlled
-bytes silently.  :class:`AttackReport` keeps the per-attack ledger the
-zero-undetected contract is asserted against.
+schemes turn all seven attacks into detections (and recover via the ARQ
+machinery that also heals link faults), while the unsecure fabric
+consumes attacker-controlled bytes silently.  :class:`AttackReport` keeps
+the per-attack ledger the zero-undetected contract is asserted against.
 
-Determinism matches the fault injector: one ``random.Random`` per directed
-pair, seeded from ``(config seed, src, dst)``, rolled once per wire copy in
-transmission order — verdicts never depend on cross-pair interleaving, so
-reports stay bit-identical across serial / parallel / cached execution.
+Determinism is load-bearing: the sweep runner promises bit-identical
+reports across serial / parallel / cached execution, so each policy draws
+from its own ``random.Random`` per directed pair, seeded from
+``(config seed, src, dst)`` and rolled once per wire copy in transmission
+order — events never depend on cross-pair interleaving.
 
-Quarantine interacts with the injector through :meth:`on_quarantine`:
+Quarantine interacts with the injector through :meth:`WireInjector.on_quarantine`:
 once a directed link is rerouted, the attacker sitting on the physical
-wire loses access to that pair's traffic and ``decide`` stops attacking it
-(without consuming rolls, which keeps the surviving pairs' streams
-aligned).
+wire loses access to that pair's traffic and the attack policy stops
+rolling for it (the fault policy keeps rolling: the new path is still a
+physical link).
 """
 
 from __future__ import annotations
@@ -34,11 +38,16 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.configs import AdversaryConfig
+from repro.configs import AdversaryConfig, FaultConfig
+from repro.interconnect.faults import FaultVerdict
 
 
 class AttackKind(Enum):
-    """One attacker action against a single wire copy."""
+    """One attacker action against a single wire copy.
+
+    Member order is the injector's roll order, and each value names its
+    :class:`~repro.configs.AdversaryConfig` rate field (``{value}_rate``).
+    """
 
     FLIP_CIPHER = "flip_cipher"  # ciphertext bit-flip
     FLIP_MAC = "flip_mac"  # MAC-tag bit-flip
@@ -61,71 +70,72 @@ TAMPER_KINDS = frozenset(
 #: receiver's seen-set, so they cannot poison later legitimate traffic.
 ALIEN_KINDS = frozenset({AttackKind.SPLICE, AttackKind.FORGE})
 
-_KIND_ORDER = (
-    AttackKind.FLIP_CIPHER,
-    AttackKind.FLIP_MAC,
-    AttackKind.REPLAY,
-    AttackKind.REORDER,
-    AttackKind.TRUNCATE,
-    AttackKind.SPLICE,
-    AttackKind.FORGE,
-)
 
-_KIND_RATES = {
-    AttackKind.FLIP_CIPHER: "flip_cipher_rate",
-    AttackKind.FLIP_MAC: "flip_mac_rate",
-    AttackKind.REPLAY: "replay_rate",
-    AttackKind.REORDER: "reorder_rate",
-    AttackKind.TRUNCATE: "truncate_rate",
-    AttackKind.SPLICE: "splice_rate",
-    AttackKind.FORGE: "forge_rate",
-}
+def _policy(cfg, outcomes) -> tuple:
+    """``(outcome, rate)`` rows for the outcomes that can fire under ``cfg``.
+
+    Each outcome's rate is the config field named ``{outcome.value}_rate``;
+    zero-rate rows are left out, which never changes a roll's result.
+    """
+    rows = ((outcome, getattr(cfg, f"{outcome.value}_rate")) for outcome in outcomes)
+    return tuple((outcome, rate) for outcome, rate in rows if rate > 0.0)
 
 
-class AdversaryInjector:
-    """Seeded per-pair attack verdicts for every data-block wire copy."""
+def _roll(rng: random.Random, policy: tuple, default):
+    """One uniform draw against cumulative rate thresholds, in table order."""
+    roll = rng.random()
+    for outcome, rate in policy:
+        if roll < rate:
+            return outcome
+        roll -= rate
+    return default
 
-    __slots__ = ("cfg", "_rngs", "_nodes", "_quarantined")
 
-    def __init__(self, cfg: AdversaryConfig, nodes: list[int]) -> None:
-        self.cfg = cfg
-        self._rngs: dict[tuple[int, int], random.Random] = {}
+class WireInjector:
+    """Seeded per-pair wire events for every data-block wire copy."""
+
+    __slots__ = ("fault", "adversary", "_faults", "_attacks", "_rngs", "_nodes", "_quarantined")
+
+    def __init__(self, fault: FaultConfig, adversary: AdversaryConfig, nodes: list[int]) -> None:
+        self.fault = fault
+        self.adversary = adversary
+        self._faults = _policy(fault, [v for v in FaultVerdict if v is not FaultVerdict.OK])
+        self._attacks = _policy(adversary, AttackKind)
+        self._rngs: dict[tuple[int, int], tuple[random.Random, random.Random]] = {}
         self._nodes = list(nodes)
         self._quarantined: set[tuple[int, int]] = set()
 
-    def _rng(self, src: int, dst: int) -> random.Random:
-        key = (src, dst)
-        rng = self._rngs.get(key)
-        if rng is None:
-            # String seeding hashes through SHA-512: stable across processes
-            # and Python versions (same scheme as the fault injector).
-            rng = random.Random(f"adv:{self.cfg.seed}:{src}->{dst}")
-            self._rngs[key] = rng
-        return rng
+    def decide(self, src: int, dst: int) -> tuple[FaultVerdict, AttackKind | None]:
+        """Roll the wire event for one (src -> dst) copy.
 
-    def decide(self, src: int, dst: int) -> AttackKind | None:
-        """Roll the attacker's action on one (src -> dst) wire copy.
-
-        Quarantined pairs are never attacked *and never rolled*: the
-        traffic left the compromised wire, so the attacker cannot even
-        observe it.  Skipping the roll (rather than discarding it) keeps
-        the pair's verdict stream a pure function of its pre-quarantine
-        transmission count.
+        The fault stream rolls first, then the attack stream.  Quarantined
+        pairs are never attacked *and never rolled*: the traffic left the
+        compromised wire, so the attacker cannot even observe it, and
+        skipping the roll keeps the pair's attack stream a pure function of
+        its pre-quarantine transmission count.  A copy a fault dropped or
+        corrupted leaves nothing intact to attack, so its attack is void.
         """
-        if (src, dst) in self._quarantined:
-            return None
-        roll = self._rng(src, dst).random()
-        cfg = self.cfg
-        for kind in _KIND_ORDER:
-            rate = getattr(cfg, _KIND_RATES[kind])
-            if roll < rate:
-                if kind is AttackKind.SPLICE and self.splice_target(src, dst) is None:
-                    # Nowhere to redirect (two-node fabric): the capture
-                    # degrades to in-place tampering.
-                    return AttackKind.FLIP_CIPHER
-                return kind
-            roll -= rate
-        return None
+        key = (src, dst)
+        rngs = self._rngs.get(key)
+        if rngs is None:
+            # String seeding hashes through SHA-512: stable across processes
+            # and Python versions, unlike builtin hash() of tuples.
+            rngs = (
+                random.Random(f"fault:{self.fault.seed}:{src}->{dst}"),
+                random.Random(f"adv:{self.adversary.seed}:{src}->{dst}"),
+            )
+            self._rngs[key] = rngs
+        verdict = _roll(rngs[0], self._faults, FaultVerdict.OK) if self._faults else FaultVerdict.OK
+        attack = None
+        if self._attacks and key not in self._quarantined:
+            attack = _roll(rngs[1], self._attacks, None)
+            if attack is AttackKind.SPLICE and self.splice_target(src, dst) is None:
+                # Nowhere to redirect (two-node fabric): the capture
+                # degrades to in-place tampering.
+                attack = AttackKind.FLIP_CIPHER
+            if verdict is FaultVerdict.DROP or verdict is FaultVerdict.CORRUPT:
+                attack = None
+        return verdict, attack
 
     def splice_target(self, src: int, dst: int) -> int | None:
         """Deterministic third node a spliced (src -> dst) block lands on."""
@@ -219,39 +229,32 @@ class AttackReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "injected": dict(sorted(self.injected.items())),
-            "detected": dict(sorted(self.detected.items())),
-            "harmless": dict(sorted(self.harmless.items())),
-            "accepted": dict(sorted(self.accepted.items())),
-            "quarantined": [list(pair) for pair in self.quarantined],
-        }
+        out = {name: dict(sorted(getattr(self, name).items())) for name in _LEDGERS}
+        out["quarantined"] = [list(pair) for pair in self.quarantined]
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttackReport":
         return cls(
-            injected=dict(data.get("injected", {})),
-            detected=dict(data.get("detected", {})),
-            harmless=dict(data.get("harmless", {})),
-            accepted=dict(data.get("accepted", {})),
+            **{name: dict(data.get(name, {})) for name in _LEDGERS},
             quarantined=[list(pair) for pair in data.get("quarantined", [])],
         )
 
     def merge(self, other: "AttackReport") -> None:
-        for mine, theirs in (
-            (self.injected, other.injected),
-            (self.detected, other.detected),
-            (self.harmless, other.harmless),
-            (self.accepted, other.accepted),
-        ):
-            for key, val in theirs.items():
+        for name in _LEDGERS:
+            mine = getattr(self, name)
+            for key, val in getattr(other, name).items():
                 mine[key] = mine.get(key, 0) + val
         self.quarantined.extend(list(pair) for pair in other.quarantined)
 
 
+#: the outcome ledgers of an :class:`AttackReport`, in report order
+_LEDGERS = ("injected", "detected", "harmless", "accepted")
+
+
 __all__ = [
     "AttackKind",
-    "AdversaryInjector",
+    "WireInjector",
     "AttackReport",
     "TAMPER_KINDS",
     "ALIEN_KINDS",

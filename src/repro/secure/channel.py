@@ -10,16 +10,25 @@ receiver: acquire receive pads (scheme, honouring counter sync) → XOR
           decrypt (+ blocking MAC verify unless lazily batched) → deliver
           → emit replay-protection ACK (per message, or per batch)
 
-When the configuration enables link-fault injection
-(:class:`~repro.configs.FaultConfig`), the secure transport additionally
-runs a detection-driven recovery protocol (see ``docs/ROBUSTNESS.md``):
-corrupted blocks fail their MsgMAC and trigger a NACK, dropped blocks fire
-a sender-side retransmission timer with exponential backoff, wire
-duplicates are rejected by the receiver's counter check, and a retry
-budget bounds how long any block keeps the link busy — exhausting it
-raises a structured :class:`~repro.interconnect.faults.LinkFailureError`.
-Every retransmitted block burns a fresh counter/pad, so recovery cost
-feeds straight back into the OTP allocator the paper studies.
+When the configuration enables link faults
+(:class:`~repro.configs.FaultConfig`) or an active adversary
+(:class:`~repro.configs.AdversaryConfig`), both transports hold one
+:class:`~repro.secure.adversary.WireInjector` and run every data-block
+wire copy through one hook, :meth:`_TransportBase._wire_copies`: it rolls
+nothing itself, but turns the injector's ``(fault, attack)`` event into
+the copies that land — the original, a link duplicate, a replayed,
+spliced, or forged copy — each tagged with what happened to it.  Each
+transport then consumes those copies its own way (see
+``docs/ROBUSTNESS.md``).  The unsecure fabric delivers on schedule and
+books the silent damage; the secure transport runs a detection-driven
+recovery protocol: corrupted or tampered blocks fail their MsgMAC and
+trigger a NACK, lost blocks fire a sender-side retransmission timer with
+exponential backoff, wire duplicates and replays are rejected by the
+receiver's counter check, and a retry budget bounds how long any block
+keeps the link busy — exhausting it raises a structured
+:class:`~repro.interconnect.faults.LinkFailureError`.  Every retransmitted
+block burns a fresh counter/pad, so recovery cost feeds straight back
+into the OTP allocator the paper studies.
 
 Both transports also collect the paper's motivation measurements: per-node
 send/receive timelines (Figs 13/14) and per-pair data-block burstiness
@@ -28,18 +37,20 @@ histograms (Figs 15/16).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.configs import SystemConfig
 from repro.core.batching import BatchingController, MsgMacStorage
-from repro.interconnect.faults import FaultInjector, FaultVerdict, LinkFailureError
+from repro.interconnect.faults import FaultVerdict, LinkFailureError
 from repro.interconnect.packet import Packet, PacketKind
 from repro.interconnect.topology import Topology
 from repro.obs import Telemetry
 from repro.secure.adversary import (
     ALIEN_KINDS,
     TAMPER_KINDS,
-    AdversaryInjector,
     AttackKind,
     AttackReport,
+    WireInjector,
 )
 from repro.secure.engine import AesGcmEngineModel
 from repro.secure.invariants import InvariantMonitor
@@ -53,30 +64,30 @@ from repro.transport import DeliveryHandler
 #: Histogram bin edges of Figs 15/16.
 BURST_EDGES = [40, 160, 640, 2560]
 
+#: the FaultStats counter each injected link fault bumps
+_INJECTED = {
+    FaultVerdict.DROP: "drops_injected",
+    FaultVerdict.CORRUPT: "corruptions_injected",
+    FaultVerdict.DUPLICATE: "duplicates_injected",
+    FaultVerdict.DELAY: "delays_injected",
+}
 
+
+@dataclass(slots=True, eq=False)
 class _PendingMessage:
     """Sender-side retransmission state for one in-flight data block."""
 
-    __slots__ = (
-        "packet",
-        "counter",
-        "counters",
-        "batch_ctx",
-        "attempts",
-        "rto",
-        "timer",
-        "first_sent",
-    )
+    packet: Packet
+    counter: int  # the counter of the *current* wire copy
+    batch_ctx: object
+    rto: int
+    first_sent: int
+    counters: list[int] = field(init=False)  # every counter any copy ever used
+    attempts: int = 1  # transmissions so far (first copy included)
+    timer: object = None
 
-    def __init__(self, packet: Packet, counter: int, batch_ctx, rto: int, now: int) -> None:
-        self.packet = packet
-        self.counter = counter  # the counter of the *current* wire copy
-        self.counters = [counter]  # every counter any copy ever used
-        self.batch_ctx = batch_ctx
-        self.attempts = 1  # transmissions so far (first copy included)
-        self.rto = rto
-        self.timer = None
-        self.first_sent = now
+    def __post_init__(self) -> None:
+        self.counters = [self.counter]
 
 
 class _TransportBase:
@@ -107,20 +118,17 @@ class _TransportBase:
         self._burst_state: dict[tuple[int, int], list[int]] = {}
         self.messages_sent = 0
         self.data_blocks = 0
-        # Fault injection and the active adversary are strictly opt-in:
-        # with every rate at zero the injector is absent and the
-        # clean-channel paths run unchanged (bit-identical reports).
-        self.fault_injector = FaultInjector(cfg.fault) if cfg.fault.enabled else None
-        self.fault_stats = FaultStats() if self.fault_injector is not None else None
-        self.adversary = (
-            AdversaryInjector(cfg.adversary, topology.nodes())
-            if cfg.adversary.enabled
+        # Link faults and the active adversary are strictly opt-in: with
+        # every rate at zero the injector is absent and the clean-channel
+        # paths run unchanged (bit-identical reports).  Its presence also
+        # arms the recovery machinery (pending table, RTO timers, dedup sets).
+        self.fault_stats = FaultStats() if cfg.fault.enabled else None
+        self.attack_report = AttackReport() if cfg.adversary.enabled else None
+        self.wire = (
+            WireInjector(cfg.fault, cfg.adversary, topology.nodes())
+            if cfg.fault.enabled or cfg.adversary.enabled
             else None
         )
-        self.attack_report = AttackReport() if self.adversary is not None else None
-        #: recovery machinery (pending table, RTO timers, dedup sets) arms
-        #: whenever *either* hostile layer is active
-        self._recovery = self.fault_injector is not None or self.adversary is not None
 
     # ------------------------------------------------------------------
     # Registry
@@ -135,6 +143,73 @@ class _TransportBase:
         if handler is None:
             raise KeyError(f"no delivery handler for node {packet.dst}")
         handler(packet, time)
+
+    def _deliver_at(self, packet: Packet, arrival: int) -> None:
+        """Hand an unprotected packet to its destination at ``arrival``."""
+        self.sim.post_at(
+            arrival, lambda p=packet: (self._note_arrival(p, self.sim.now), self._deliver(p, self.sim.now))
+        )
+
+    # ------------------------------------------------------------------
+    # The hostile wire
+    # ------------------------------------------------------------------
+    def _wire_copies(
+        self, packet: Packet, now: int, verdict: FaultVerdict, attack: AttackKind | None
+    ) -> list[tuple[Packet, int, FaultVerdict | AttackKind | None]]:
+        """Put one data-block copy on a hostile link; list what lands.
+
+        Returns ``(packet, arrival, tag)`` entries in the order their
+        arrivals must be posted; the first entry is always the original
+        copy.  ``tag`` is ``None`` for an intact copy, ``FaultVerdict.DROP``
+        for a copy that never reaches its receiver (lost on the link, or
+        captured by a splice), ``FaultVerdict.CORRUPT`` for a copy the link
+        garbled, and the :class:`AttackKind` for a copy the attacker touched
+        or made.  Every copy occupies link bandwidth, dropped ones included
+        (the bits crossed the wire; only the far end never saw them intact).
+        """
+        arrival = self.topology.send(packet, now)
+        if verdict is not FaultVerdict.OK:
+            stats, name = self.fault_stats, _INJECTED[verdict]
+            setattr(stats, name, getattr(stats, name) + 1)
+            self._note_fault(packet, verdict.value)
+            if verdict is FaultVerdict.DROP or verdict is FaultVerdict.CORRUPT:
+                return [(packet, arrival, verdict)]
+        landing = arrival + self.cfg.fault.delay_cycles if verdict is FaultVerdict.DELAY else arrival
+        if attack is None:
+            copies = [(packet, landing, None)]
+        else:
+            self.attack_report.note_injected(attack)
+            self._note_adv(f"{attack.value}_injected")
+            adv = self.cfg.adversary
+            if attack is AttackKind.REPLAY:
+                # The original proceeds untouched; the captured copy is
+                # re-injected later and burns real bandwidth.
+                replayed = self.topology.send(packet, landing + adv.replay_lag)
+                copies = [(packet, landing, None), (packet, replayed, attack)]
+            elif attack is AttackKind.SPLICE or attack is AttackKind.FORGE:
+                # A splice redirects the block onto a third node's link (it
+                # never reaches dst); a forge fabricates one alongside it.
+                splice = attack is AttackKind.SPLICE
+                made = Packet(
+                    kind=packet.kind,
+                    src=packet.src,
+                    dst=self.wire.splice_target(packet.src, packet.dst) if splice else packet.dst,
+                    size_bytes=packet.size_bytes,
+                    meta_bytes=packet.meta_bytes,
+                )
+                copies = [
+                    (packet, landing, FaultVerdict.DROP if splice else None),
+                    (made, self.topology.send(made, landing), attack),
+                ]
+            elif attack is AttackKind.REORDER:
+                # Held back so later counters overtake it on the wire.
+                copies = [(packet, landing + adv.reorder_lag, attack)]
+            else:
+                copies = [(packet, landing, attack)]  # mutated in flight
+        if verdict is FaultVerdict.DUPLICATE:
+            # the link echo trails the original and burns bandwidth
+            copies.append((packet, self.topology.send(packet, arrival), None))
+        return copies
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -193,107 +268,38 @@ class _TransportBase:
 class UnsecureTransport(_TransportBase):
     """The vanilla multi-GPU fabric: no pads, no metadata, no ACKs.
 
-    Under fault injection the unsecure fabric has *no detection*: dropped
-    payloads and flipped bits reach the consuming device as silently wrong
-    data at zero timing cost.  The :class:`FaultStats` ledger records the
-    damage (``lost_messages`` / ``corrupted_deliveries``) that the secure
-    schemes' recovery machinery exists to prevent — the asymmetry
-    ``experiments.fig_fault_sweep`` plots.
+    On a hostile wire the unsecure fabric has *no detection*: dropped
+    payloads, flipped bits and attacker-controlled bytes reach the
+    consuming device as silently wrong data at zero timing cost.  The
+    packet still reaches its handler when the original copy lands, while
+    the :class:`FaultStats` (``lost_messages`` / ``corrupted_deliveries``)
+    and :class:`AttackReport` (``accepted``) ledgers record the damage the
+    secure schemes' recovery machinery exists to prevent — the asymmetry
+    ``experiments.fig_fault_sweep`` and ``experiments.fig_adversary`` plot.
     """
 
     def send(self, packet: Packet, now: int) -> None:
         self._note_send(packet, now)
-        if self._recovery and packet.kind.carries_data:
-            self._send_guarded(packet, now)
+        wire = self.wire
+        if wire is None or not packet.kind.carries_data:
+            self._deliver_at(packet, self.topology.send(packet, now))
             return
-        arrival = self.topology.send(packet, now)
-        self.sim.post_at(
-            arrival, lambda p=packet: (self._note_arrival(p, self.sim.now), self._deliver(p, self.sim.now))
-        )
-
-    def _send_guarded(self, packet: Packet, now: int) -> None:
-        verdict = (
-            self.fault_injector.decide(packet.src, packet.dst)
-            if self.fault_injector is not None
-            else FaultVerdict.OK
-        )
-        stats = self.fault_stats
-        arrival = self.topology.send(packet, now)
+        verdict, attack = wire.decide(packet.src, packet.dst)
+        copies = self._wire_copies(packet, now, verdict, attack)
+        # No detection: the device consumes the original when it lands,
+        # whatever became of it, and the ledgers record the damage.
         if verdict is FaultVerdict.DROP:
-            # The payload is gone but nothing downstream can tell: the
-            # device consumes stale/garbage data on schedule.
-            stats.drops_injected += 1
-            stats.lost_messages += 1
-            self._note_fault(packet, "drop")
+            self.fault_stats.lost_messages += 1
         elif verdict is FaultVerdict.CORRUPT:
-            stats.corruptions_injected += 1
-            stats.corrupted_deliveries += 1
-            self._note_fault(packet, "corrupt")
-        elif verdict is FaultVerdict.DUPLICATE:
-            stats.duplicates_injected += 1
-            self._note_fault(packet, "duplicate")
-            # The replayed copy burns link bandwidth; the device-side
-            # interface absorbs the duplicate (no protocol notices).
-            self.topology.send(packet, arrival)
-        elif verdict is FaultVerdict.DELAY:
-            stats.delays_injected += 1
-            self._note_fault(packet, "delay")
-            arrival += self.cfg.fault.delay_cycles
-        if self.adversary is not None:
-            attack = self.adversary.decide(packet.src, packet.dst)
-            if attack is not None and verdict not in (FaultVerdict.DROP, FaultVerdict.CORRUPT):
-                arrival = self._unsecure_attack(packet, attack, arrival)
-        self.sim.post_at(
-            arrival, lambda p=packet: (self._note_arrival(p, self.sim.now), self._deliver(p, self.sim.now))
-        )
-
-    def _unsecure_attack(self, packet: Packet, attack: AttackKind, arrival: int) -> int:
-        """Apply one attack to an unprotected wire copy.
-
-        The unsecure fabric has *no detection*: every attacker-controlled
-        byte that a device consumes lands in ``accepted`` — the silent-
-        compromise count the secure schemes drive to zero.  Delivery
-        follows the fault model's deliver-but-count philosophy: the
-        packet object still reaches its handler on schedule (the device
-        consumes garbage without noticing), while the ledger records what
-        actually happened on the wire.
-        """
-        report = self.attack_report
-        report.note_injected(attack)
-        self._note_adv(f"{attack.value}_injected")
-        adv = self.cfg.adversary
+            self.fault_stats.corrupted_deliveries += 1
         if attack is AttackKind.REORDER:
             # Late but intact: nothing attacker-controlled is consumed.
-            report.note_harmless(attack)
+            self.attack_report.note_harmless(attack)
             self._note_adv("reorder_absorbed")
-            return arrival + adv.reorder_lag
-        report.note_accepted(attack)
-        self._note_adv("accepted")
-        if attack is AttackKind.REPLAY:
-            # The re-injected copy burns bandwidth and re-applies stale
-            # data at the receiver's interface.
-            self.topology.send(packet, arrival + adv.replay_lag)
-        elif attack is AttackKind.SPLICE:
-            # Redirected onto a third node's link: garbage consumed there.
-            target = self.adversary.splice_target(packet.src, packet.dst)
-            spliced = Packet(
-                kind=packet.kind,
-                src=packet.src,
-                dst=target,
-                size_bytes=packet.size_bytes,
-                meta_bytes=packet.meta_bytes,
-            )
-            self.topology.send(spliced, arrival)
-        elif attack is AttackKind.FORGE:
-            forged = Packet(
-                kind=packet.kind,
-                src=packet.src,
-                dst=packet.dst,
-                size_bytes=packet.size_bytes,
-                meta_bytes=packet.meta_bytes,
-            )
-            self.topology.send(forged, arrival)
-        return arrival
+        elif attack is not None:
+            self.attack_report.note_accepted(attack)
+            self._note_adv("accepted")
+        self._deliver_at(packet, copies[0][1])
 
 
 class SecureTransport(_TransportBase):
@@ -319,7 +325,7 @@ class SecureTransport(_TransportBase):
         # Under an active adversary the replay guards tolerate in-window
         # ACK reordering (held-back blocks deliver late but legitimately);
         # dormant configs keep the strict-FIFO default.
-        guard_window = cfg.adversary.replay_window if self.adversary is not None else 0
+        guard_window = cfg.adversary.replay_window if cfg.adversary.enabled else 0
         for node in topology.nodes():
             engine = AesGcmEngineModel(sec.aes_gcm_latency, sec.ghash_latency, sec.xor_latency)
             self.engines[node] = engine
@@ -365,7 +371,7 @@ class SecureTransport(_TransportBase):
         # detection counts feeding quarantine, and the fabricated-counter
         # sequence forged blocks arrive under (negative: disjoint from any
         # counter a sender can ever issue).
-        self.monitor = InvariantMonitor() if self.adversary is not None else None
+        self.monitor = InvariantMonitor() if cfg.adversary.enabled else None
         self._adv_detections: dict[tuple[int, int], int] = {}
         self._forge_seq = 0
 
@@ -390,18 +396,14 @@ class SecureTransport(_TransportBase):
             # leaves request-content hiding to oblivious routing [34].
             # ``protect_requests`` enables that extension: control messages
             # then take the full secured path below.
-            arrival = self.topology.send(packet, now)
-            self.sim.post_at(
-                arrival,
-                lambda p=packet: (self._note_arrival(p, self.sim.now), self._deliver(p, self.sim.now)),
-            )
+            self._deliver_at(packet, self.topology.send(packet, now))
             return
 
         src, dst = packet.src, packet.dst
         pair = (src, dst)
         engine = self.engines[src]
         scheme = self.schemes[src]
-        guarded = self._recovery and carries_data
+        guarded = self.wire is not None and carries_data
         # head-of-line: the pad acquisition happens when this message
         # reaches the front of the pair's crypto queue
         demand = kind is not PacketKind.MIGRATION_DATA
@@ -479,7 +481,7 @@ class SecureTransport(_TransportBase):
             self._counter_owner[(src, dst, counter)] = packet.pid
             self.sim.post_at(
                 launch_at,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._launch_guarded(
+                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._launch_hostile(
                     p, s, b, c
                 ),
             )
@@ -489,193 +491,56 @@ class SecureTransport(_TransportBase):
             lambda p=packet, s=synced, b=batch_ctx, c=counter: self._launch(p, s, b, c),
         )
 
-    def _next_counter(self, src: int, dst: int) -> int:
-        key = (src, dst)
-        ctr = self._ctrs.get(key, 0)
-        self._ctrs[key] = ctr + 1
-        if self.monitor is not None:
-            self.monitor.on_counter(src, dst, ctr)
-        return ctr
-
     def _launch(self, packet: Packet, synced: bool, batch_ctx, counter: int) -> None:
         """Put a clean-channel copy on the link (hostile copies take
-        :meth:`_launch_guarded`, chosen when the message was sent)."""
+        :meth:`_launch_hostile`, chosen when the message was sent)."""
         arrival = self.topology.send(packet, self.sim.now)
         self.sim.post_at(
             arrival,
             lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(p, s, b, c),
         )
 
-    def _launch_guarded(self, packet: Packet, synced: bool, batch_ctx, counter: int) -> None:
-        """Put one wire copy on the link, applying the hostile layers.
+    def _launch_hostile(self, packet: Packet, synced: bool, batch_ctx, counter: int) -> None:
+        """Put one wire copy on a hostile link and post every copy that lands.
 
-        Every copy — original or retransmission — rolls its own fault
-        verdict and its own attack verdict, and occupies link bandwidth
-        even when dropped (the bits still crossed the wire; only the far
-        end never saw them intact).  Both rolls always happen, in a fixed
-        order, so each per-pair verdict stream stays a pure function of
-        the pair's transmission count; the attack is *applied* only when
-        the link fault left an intact copy for the attacker to touch.
+        Every copy — original or retransmission — rolls its own wire event.
+        Spliced and forged copies travel under counters alien to the
+        receiving pair (a forge's is one no sender ever issued) and carry
+        no batch of it; the attacker holds no keys and no pads, so every
+        tampered copy is destined for a MsgMAC rejection, charged to the
+        compromised wire the block was captured on.
         """
-        now = self.sim.now
-        verdict = (
-            self.fault_injector.decide(packet.src, packet.dst)
-            if self.fault_injector is not None
-            else FaultVerdict.OK
-        )
-        attack = None
-        if self.adversary is not None:
-            attack = self.adversary.decide(packet.src, packet.dst)
-            if verdict in (FaultVerdict.DROP, FaultVerdict.CORRUPT):
-                attack = None  # the fault destroyed the copy first
-        stats = self.fault_stats
-        arrival = self.topology.send(packet, now)
-        if verdict is FaultVerdict.DROP:
-            stats.drops_injected += 1
-            self._note_fault(packet, "drop")
-            # no arrival is scheduled: only the sender's RTO timer can
-            # notice the loss
-        elif verdict is FaultVerdict.CORRUPT:
-            stats.corruptions_injected += 1
-            self._note_fault(packet, "corrupt")
+        src, dst = packet.src, packet.dst
+        pair = (src, dst)
+        verdict, attack = self.wire.decide(src, dst)
+        for copy, arrival, tag in self._wire_copies(packet, self.sim.now, verdict, attack):
+            if tag is FaultVerdict.DROP:
+                continue  # only the sender's RTO timer can notice the loss
+            if tag is None or tag is FaultVerdict.CORRUPT:
+                self.sim.post_at(
+                    arrival,
+                    lambda p=copy, k=tag is FaultVerdict.CORRUPT: self._arrive(
+                        p, synced, batch_ctx, counter, corrupted=k
+                    ),
+                )
+                continue
+            ctr, batch = counter, batch_ctx
+            if copy is not packet:
+                batch = None
+                if tag is AttackKind.FORGE:
+                    self._forge_seq += 1
+                    ctr = -self._forge_seq
+            if tag in TAMPER_KINDS:
+                self.monitor.on_tampered_copy(copy.src, copy.dst, ctr, copy.pid)
             self.sim.post_at(
                 arrival,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(
-                    p, s, b, c, corrupted=True
+                lambda p=copy, b=batch, c=ctr, a=tag: self._arrive(
+                    p, synced, b, c, attack=a, origin=pair
                 ),
             )
-        elif verdict is FaultVerdict.DUPLICATE:
-            stats.duplicates_injected += 1
-            self._note_fault(packet, "duplicate")
-            self._dispatch_arrival(packet, synced, batch_ctx, counter, arrival, attack)
-            # the replayed copy trails the original and burns bandwidth;
-            # the receiver's counter check will reject it
-            dup_arrival = self.topology.send(packet, arrival)
-            self.sim.post_at(
-                dup_arrival,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(p, s, b, c),
-            )
-        elif verdict is FaultVerdict.DELAY:
-            stats.delays_injected += 1
-            self._note_fault(packet, "delay")
-            self._dispatch_arrival(
-                packet, synced, batch_ctx, counter,
-                arrival + self.cfg.fault.delay_cycles, attack,
-            )
-        else:
-            self._dispatch_arrival(packet, synced, batch_ctx, counter, arrival, attack)
-        pending = self._pending.get((packet.src, packet.dst), {}).get(packet.pid)
+        pending = self._pending.get(pair, {}).get(packet.pid)
         if pending is not None:
             self._arm_timer(pending)
-
-    def _dispatch_arrival(
-        self, packet: Packet, synced: bool, batch_ctx, counter: int,
-        arrival: int, attack: AttackKind | None,
-    ) -> None:
-        if attack is None:
-            self.sim.post_at(
-                arrival,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(p, s, b, c),
-            )
-            return
-        self._inject_attack(packet, synced, batch_ctx, counter, arrival, attack)
-
-    def _inject_attack(
-        self, packet: Packet, synced: bool, batch_ctx, counter: int,
-        arrival: int, attack: AttackKind,
-    ) -> None:
-        """Apply one attack to the intact wire copy due at ``arrival``.
-
-        The attacker holds no keys and no pads, so mutated and fabricated
-        copies (flip/truncate/splice/forge) are destined for a MsgMAC
-        rejection; replay and reorder re-use authentic material and are
-        caught by the counter check or absorbed by the ACK window.
-        Spliced and forged copies travel under counters alien to the
-        receiving pair and are never added to its seen-set — a tampered
-        copy must not be able to poison a future legitimate counter.
-        """
-        adv = self.cfg.adversary
-        src, dst = packet.src, packet.dst
-        self.attack_report.note_injected(attack)
-        self._note_adv(f"{attack.value}_injected")
-        if attack in (AttackKind.FLIP_CIPHER, AttackKind.FLIP_MAC, AttackKind.TRUNCATE):
-            if self.monitor is not None:
-                self.monitor.on_tampered_copy(src, dst, counter, packet.pid)
-            self.sim.post_at(
-                arrival,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter, a=attack: self._arrive(
-                    p, s, b, c, attack=a
-                ),
-            )
-        elif attack is AttackKind.REPLAY:
-            # The original proceeds untouched; the captured copy is
-            # re-injected later and burns real bandwidth.
-            self.sim.post_at(
-                arrival,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(p, s, b, c),
-            )
-            rep_arrival = self.topology.send(packet, arrival + adv.replay_lag)
-            self.sim.post_at(
-                rep_arrival,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(
-                    p, s, b, c, attack=AttackKind.REPLAY
-                ),
-            )
-        elif attack is AttackKind.REORDER:
-            # Held back so later counters overtake it on the wire.
-            self.sim.post_at(
-                arrival + adv.reorder_lag,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(
-                    p, s, b, c, attack=AttackKind.REORDER
-                ),
-            )
-        elif attack is AttackKind.SPLICE:
-            # Redirected mid-flight: the block never reaches dst (the
-            # sender's RTO recovers it) and lands — MAC-doomed — on a
-            # third node's ingress.  Detection is attributed to the
-            # compromised (src, dst) wire it was captured on.
-            target = self.adversary.splice_target(src, dst)
-            spliced = Packet(
-                kind=packet.kind,
-                src=src,
-                dst=target,
-                size_bytes=packet.size_bytes,
-                meta_bytes=packet.meta_bytes,
-            )
-            if self.monitor is not None:
-                self.monitor.on_tampered_copy(src, target, counter, spliced.pid)
-            sp_arrival = self.topology.send(spliced, arrival)
-            self.sim.post_at(
-                sp_arrival,
-                lambda p=spliced, s=synced, c=counter, o=(src, dst): self._arrive(
-                    p, s, None, c, attack=AttackKind.SPLICE, origin=o
-                ),
-            )
-        elif attack is AttackKind.FORGE:
-            # Fabricated from scratch alongside the untouched original,
-            # under a counter no sender ever issued.
-            self.sim.post_at(
-                arrival,
-                lambda p=packet, s=synced, b=batch_ctx, c=counter: self._arrive(p, s, b, c),
-            )
-            self._forge_seq += 1
-            fake_counter = -self._forge_seq
-            forged = Packet(
-                kind=packet.kind,
-                src=src,
-                dst=dst,
-                size_bytes=packet.size_bytes,
-                meta_bytes=packet.meta_bytes,
-            )
-            if self.monitor is not None:
-                self.monitor.on_tampered_copy(src, dst, fake_counter, forged.pid)
-            fg_arrival = self.topology.send(forged, arrival)
-            self.sim.post_at(
-                fg_arrival,
-                lambda p=forged, s=synced, c=fake_counter: self._arrive(
-                    p, s, None, c, attack=AttackKind.FORGE
-                ),
-            )
 
     # ------------------------------------------------------------------
     # Receive path
@@ -694,7 +559,7 @@ class SecureTransport(_TransportBase):
         kind = packet.kind
         src, dst = packet.src, packet.dst
         pair = (src, dst)
-        guarded = self._recovery and kind.carries_data
+        guarded = self.wire is not None and kind.carries_data
         if guarded:
             seen = self._recv_seen.setdefault(pair, set())
             if counter in seen:
@@ -704,19 +569,15 @@ class SecureTransport(_TransportBase):
                     # a whole-block replay re-presents a consumed counter,
                     # and a spliced copy's alien counter can collide with
                     # one this pair already accepted.
-                    event = (
-                        "replay_discard"
-                        if attack is AttackKind.REPLAY
-                        else "counter_reject"
-                    )
-                    self._attack_detected(attack, origin or pair, event)
+                    event = "replay_discard" if attack is AttackKind.REPLAY else "counter_reject"
+                    self._attack_detected(attack, origin, event)
                     return
                 # Wire replay (link echo): rejected the same way.
                 if self.fault_stats is not None:
                     self.fault_stats.duplicates_discarded += 1
                     self._note_fault(packet, "dup-discard")
                 return
-            if attack is None or attack not in ALIEN_KINDS:
+            if attack not in ALIEN_KINDS:
                 seen.add(counter)
         engine = self.engines[dst]
         scheme = self.schemes[dst]
@@ -730,11 +591,7 @@ class SecureTransport(_TransportBase):
         # they *claim* and then die at the MsgMAC — wasted-pad cost, not a
         # security double-use, so they stay out of the single-use ledger
         # (the legitimate block under the same counter still must be unique).
-        if (
-            guarded
-            and self.monitor is not None
-            and (attack is None or attack not in TAMPER_KINDS)
-        ):
+        if guarded and self.monitor is not None and attack not in TAMPER_KINDS:
             self.monitor.on_recv_pad(src, dst, counter)
 
         # A hostile link forfeits lazy verification: batched blocks verify
@@ -742,18 +599,10 @@ class SecureTransport(_TransportBase):
         lazy = kind.batchable and self.cfg.security.batching and not guarded
         verify = 0 if lazy else engine.mac_fast_path
         deliver_at = ready + engine.encrypt_fast_path + verify
-        if corrupted:
+        if corrupted or (attack is not None and attack in TAMPER_KINDS):
             self.sim.post_at(
                 deliver_at,
-                lambda p=packet, c=counter: self._corruption_detected(p, c),
-            )
-            return
-        if attack is not None and attack in TAMPER_KINDS:
-            self.sim.post_at(
-                deliver_at,
-                lambda p=packet, c=counter, a=attack, o=origin or pair: (
-                    self._attack_rejected(p, c, a, o)
-                ),
+                lambda p=packet, c=counter, a=attack, o=origin: self._mac_rejected(p, c, a, o),
             )
             return
         self.sim.post_at(
@@ -768,7 +617,7 @@ class SecureTransport(_TransportBase):
         kind = packet.kind
         src, dst = packet.src, packet.dst
         carries_data = kind.carries_data
-        if self._recovery and carries_data:
+        if self.wire is not None and carries_data:
             delivered = self._delivered_pids.setdefault((src, dst), set())
             if packet.pid in delivered:
                 # A late original raced its own retransmit: identical
@@ -802,10 +651,11 @@ class SecureTransport(_TransportBase):
 
         if kind.batchable and self.cfg.security.batching:
             self.mac_storage[dst].store(src)
-            self._batch_block_arrived(
+            self._batch_progress(
                 src,
                 dst,
                 batch_ctx.batch_id,
+                arrived=1,
                 expected=batch_ctx.batch_size if batch_ctx.closes_batch else None,
             )
         elif carries_data:
@@ -816,27 +666,18 @@ class SecureTransport(_TransportBase):
     # ------------------------------------------------------------------
     # Batch completion and timeout
     # ------------------------------------------------------------------
-    def _batch_block_arrived(
-        self, src: int, dst: int, batch_id: int, expected: int | None
+    def _batch_progress(
+        self, src: int, dst: int, batch_id: int, arrived: int, expected: int | None
     ) -> None:
+        """Count a batch's blocks (and learn its size from the closing block
+        or the standalone BatchMAC); verify and ACK it once complete."""
         key = (src, dst, batch_id)
         state = self._batch_arrivals.setdefault(key, [0, None])
-        state[0] += 1
+        state[0] += arrived
         if expected is not None:
             state[1] = expected
-        self._maybe_complete_batch(key)
-
-    def _batch_mac_arrived(self, src: int, dst: int, batch_id: int, expected: int) -> None:
-        key = (src, dst, batch_id)
-        state = self._batch_arrivals.setdefault(key, [0, None])
-        state[1] = expected
-        self._maybe_complete_batch(key)
-
-    def _maybe_complete_batch(self, key: tuple[int, int, int]) -> None:
-        state = self._batch_arrivals[key]
         if state[1] is None or state[0] < state[1]:
             return
-        src, dst, batch_id = key
         del self._batch_arrivals[key]
         self.mac_storage[dst].release_batch(src, state[1])
         self.engines[dst].count_mac()  # the batched-MAC verification
@@ -873,7 +714,7 @@ class SecureTransport(_TransportBase):
         arrival = self.topology.send(packet, self.sim.now)
         self.sim.post_at(
             arrival,
-            lambda s=src, d=dst, b=batch_id, n=closed: self._batch_mac_arrived(s, d, b, n),
+            lambda s=src, d=dst, b=batch_id, n=closed: self._batch_progress(s, d, b, 0, n),
         )
 
     # ------------------------------------------------------------------
@@ -889,9 +730,7 @@ class SecureTransport(_TransportBase):
     ) -> None:
         if not self.cfg.security.count_metadata:
             # +SecureCommu mode: account the protocol without its bandwidth.
-            self.guards[to_node].on_ack(from_node, counter, retire, batch_id=batch_id)
-            if self._recovery:
-                self._resolve_acked(to_node, from_node, counter, retire, batch_id)
+            self._ack_retire(to_node, from_node, counter, retire, batch_id)
             return
         ack = Packet(
             kind=PacketKind.SEC_ACK,
@@ -905,14 +744,17 @@ class SecureTransport(_TransportBase):
         self._note_send(ack, self.sim.now)
         arrival = self.topology.send(ack, self.sim.now)
         self.sim.post_at(
-            arrival, lambda a=ack, c=counter, b=batch_id: self._ack_retire(a, c, b)
+            arrival,
+            lambda c=counter, b=batch_id: self._ack_retire(to_node, from_node, c, retire, b),
         )
 
-    def _ack_retire(self, ack: Packet, counter: int | None, batch_id: int | None = None) -> None:
-        # ack.dst is the original sender whose replay table retires entries
-        self.guards[ack.dst].on_ack(ack.src, counter, retire=ack.txn_id, batch_id=batch_id)
-        if self._recovery:
-            self._resolve_acked(ack.dst, ack.src, counter, ack.txn_id, batch_id)
+    def _ack_retire(
+        self, sender: int, receiver: int, counter: int | None, retire: int, batch_id: int | None
+    ) -> None:
+        """The ACK reached the original sender: its replay table retires entries."""
+        self.guards[sender].on_ack(receiver, counter, retire, batch_id=batch_id)
+        if self.wire is not None:
+            self._resolve_acked(sender, receiver, counter, retire, batch_id)
 
     # ------------------------------------------------------------------
     # Fault recovery: detection, NACK/timeout, retransmission
@@ -984,34 +826,38 @@ class SecureTransport(_TransportBase):
         pending.timer = None
         self._retransmit(pending, "timeout")
 
-    def _corruption_detected(self, packet: Packet, counter: int) -> None:
+    def _mac_rejected(
+        self,
+        packet: Packet,
+        counter: int,
+        attack: AttackKind | None,
+        origin: tuple[int, int] | None,
+    ) -> None:
+        """MsgMAC verification rejected a garbled, mutated or fabricated copy.
+
+        The receive pad it burned is wasted and the receiver NACKs the
+        counter it saw.  For spliced copies the NACK reaches a sender with
+        no matching pending entry (a no-op — the *original* pair's RTO
+        drives recovery), and for forged copies the fabricated counter
+        matches nothing either.  Attack detections are always charged to
+        the compromised wire the attack originated on.
+        """
         stats = self.fault_stats
-        stats.corruptions_detected += 1
-        stats.wasted_otps += 1  # the receive pad burned on a garbage block
-        self._note_fault(packet, "mac-reject")
+        if attack is None:  # a link corruption
+            stats.corruptions_detected += 1
+            stats.wasted_otps += 1
+            self._note_fault(packet, "mac-reject")
+        else:
+            if self.monitor is not None:
+                self.monitor.on_mac_reject(packet.src, packet.dst, counter, packet.pid)
+            if stats is not None:
+                stats.wasted_otps += 1
+            self._attack_detected(attack, origin, "mac_reject")
         self._send_nack(packet.dst, packet.src, counter)
 
     # ------------------------------------------------------------------
     # Adversary detection and link quarantine
     # ------------------------------------------------------------------
-    def _attack_rejected(
-        self, packet: Packet, counter: int, attack: AttackKind, origin: tuple[int, int]
-    ) -> None:
-        """MsgMAC verification rejected a mutated or fabricated copy.
-
-        The receiver NACKs the counter it saw; for spliced copies the NACK
-        reaches a sender with no matching pending entry (a no-op — the
-        *original* pair's RTO drives recovery), and for forged copies the
-        fabricated counter matches nothing either.  Detection is always
-        charged to the compromised wire the attack originated on.
-        """
-        if self.monitor is not None:
-            self.monitor.on_mac_reject(packet.src, packet.dst, counter, packet.pid)
-        if self.fault_stats is not None:
-            self.fault_stats.wasted_otps += 1  # the receive pad burned
-        self._attack_detected(attack, origin, "mac_reject")
-        self._send_nack(packet.dst, packet.src, counter)
-
     def _attack_detected(
         self, attack: AttackKind, origin: tuple[int, int], event: str
     ) -> None:
@@ -1035,7 +881,7 @@ class SecureTransport(_TransportBase):
         count = self._adv_detections.get(key, 0) + 1
         self._adv_detections[key] = count
         if count == threshold and self.topology.quarantine(src, dst):
-            self.adversary.on_quarantine(src, dst)
+            self.wire.on_quarantine(src, dst)
             self.attack_report.note_quarantined(src, dst)
             self._note_adv("quarantine")
 
@@ -1109,11 +955,14 @@ class SecureTransport(_TransportBase):
         engine = self.engines[src]
         demand = packet.kind is not PacketKind.MIGRATION_DATA
         self.schemes[src].note_send(dst, now, demand=demand)
-        start = max(now, self._send_crypto_busy.get((src, dst), 0))
+        pair = (src, dst)
+        start = max(now, self._send_crypto_busy.get(pair, 0))
         send_grant = self.schemes[src].acquire_send(dst, start, demand=demand)
-        self._send_crypto_busy[(src, dst)] = start + send_grant.grant.wait
-        counter = self._next_counter(src, dst)
+        self._send_crypto_busy[pair] = start + send_grant.grant.wait
+        counter = self._ctrs.get(pair, 0)
+        self._ctrs[pair] = counter + 1
         if self.monitor is not None:
+            self.monitor.on_counter(src, dst, counter)
             self.monitor.on_send_pad(src, dst, counter)
         pending.counter = counter
         pending.counters.append(counter)
@@ -1133,7 +982,7 @@ class SecureTransport(_TransportBase):
         self.sim.post_at(
             launch_at,
             lambda p=packet, s=send_grant.receiver_synced, b=pending.batch_ctx, c=counter: (
-                self._launch_guarded(p, s, b, c)
+                self._launch_hostile(p, s, b, c)
             ),
         )
 

@@ -10,18 +10,24 @@ configs must be byte-invisible: identical reports, metrics, and cache keys.
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MultiGpuSystem
-from repro.configs import AdversaryConfig, scheme_config
+from repro.configs import AdversaryConfig, FaultConfig, scheme_config
+from repro.interconnect.faults import FaultVerdict
 from repro.interconnect.topology import CPU_NODE, Topology
 from repro.runner import SweepJob, execute_job
 from repro.runner.jobs import job_key
 from repro.runner.serialize import report_from_dict, report_to_dict
 from repro.secure.adversary import (
-    AdversaryInjector,
     AttackKind,
     AttackReport,
+    WireInjector,
 )
 from repro.secure.invariants import InvariantMonitor, InvariantViolationError
 from repro.workloads import get_workload
@@ -75,10 +81,22 @@ class TestAdversaryConfig:
         assert config.security == scheme_config("private").security
 
 
+class _AttacksOnly(WireInjector):
+    """A :class:`WireInjector` with no link faults, rolling attacks only."""
+
+    def __init__(self, cfg: AdversaryConfig, nodes: list[int]) -> None:
+        super().__init__(FaultConfig(), cfg, nodes)
+
+    def decide(self, src: int, dst: int) -> AttackKind | None:
+        verdict, attack = super().decide(src, dst)
+        assert verdict is FaultVerdict.OK
+        return attack
+
+
 class TestAdversaryInjector:
-    def _injector(self, **overrides) -> AdversaryInjector:
+    def _injector(self, **overrides) -> _AttacksOnly:
         cfg = AdversaryConfig(**{**ALL_RATES, **overrides})
-        return AdversaryInjector(cfg, [CPU_NODE, 1, 2, 3, 4])
+        return _AttacksOnly(cfg, [CPU_NODE, 1, 2, 3, 4])
 
     def test_decisions_are_seed_deterministic(self):
         a, b = self._injector(), self._injector()
@@ -122,6 +140,197 @@ class TestAdversaryInjector:
         inj = self._injector()
         target = inj.splice_target(1, 2)
         assert target not in (1, 2)
+
+    def test_two_node_fabric_splice_degrades_to_flip(self):
+        inj = _AttacksOnly(AdversaryConfig(splice_rate=1.0), [CPU_NODE, 1])
+        assert inj.splice_target(CPU_NODE, 1) is None
+        assert all(inj.decide(CPU_NODE, 1) is AttackKind.FLIP_CIPHER for _ in range(20))
+
+    def test_a_destroyed_copy_is_not_attacked(self):
+        for fault in (FaultVerdict.DROP, FaultVerdict.CORRUPT):
+            wire = WireInjector(
+                FaultConfig(**{f"{fault.value}_rate": 1.0}),
+                AdversaryConfig(forge_rate=1.0),
+                [CPU_NODE, 1, 2],
+            )
+            assert wire.decide(1, 2) == (fault, None)
+        wire = WireInjector(
+            FaultConfig(duplicate_rate=1.0), AdversaryConfig(forge_rate=1.0), [CPU_NODE, 1, 2]
+        )
+        assert wire.decide(1, 2) == (FaultVerdict.DUPLICATE, AttackKind.FORGE)
+
+
+class _LegacyFaultStream:
+    """Verbatim roll logic of the separate fault injector the
+    :class:`WireInjector` replaced (reference for the differential)."""
+
+    def __init__(self, cfg: FaultConfig) -> None:
+        self.cfg = cfg
+        self._rngs: dict[tuple[int, int], random.Random] = {}
+
+    def _rng(self, src: int, dst: int) -> random.Random:
+        key = (src, dst)
+        rng = self._rngs.get(key)
+        if rng is None:
+            rng = random.Random(f"fault:{self.cfg.seed}:{src}->{dst}")
+            self._rngs[key] = rng
+        return rng
+
+    def decide(self, src: int, dst: int) -> FaultVerdict:
+        roll = self._rng(src, dst).random()
+        cfg = self.cfg
+        if roll < cfg.drop_rate:
+            return FaultVerdict.DROP
+        roll -= cfg.drop_rate
+        if roll < cfg.corrupt_rate:
+            return FaultVerdict.CORRUPT
+        roll -= cfg.corrupt_rate
+        if roll < cfg.duplicate_rate:
+            return FaultVerdict.DUPLICATE
+        roll -= cfg.duplicate_rate
+        if roll < cfg.delay_rate:
+            return FaultVerdict.DELAY
+        return FaultVerdict.OK
+
+
+_LEGACY_ORDER = (
+    (AttackKind.FLIP_CIPHER, "flip_cipher_rate"),
+    (AttackKind.FLIP_MAC, "flip_mac_rate"),
+    (AttackKind.REPLAY, "replay_rate"),
+    (AttackKind.REORDER, "reorder_rate"),
+    (AttackKind.TRUNCATE, "truncate_rate"),
+    (AttackKind.SPLICE, "splice_rate"),
+    (AttackKind.FORGE, "forge_rate"),
+)
+
+
+class _LegacyAttackStream:
+    """Verbatim roll logic of the separate attack injector the
+    :class:`WireInjector` replaced (reference for the differential)."""
+
+    def __init__(self, cfg: AdversaryConfig, nodes: list[int]) -> None:
+        self.cfg = cfg
+        self._rngs: dict[tuple[int, int], random.Random] = {}
+        self._nodes = list(nodes)
+        self._quarantined: set[tuple[int, int]] = set()
+
+    def _rng(self, src: int, dst: int) -> random.Random:
+        key = (src, dst)
+        rng = self._rngs.get(key)
+        if rng is None:
+            rng = random.Random(f"adv:{self.cfg.seed}:{src}->{dst}")
+            self._rngs[key] = rng
+        return rng
+
+    def decide(self, src: int, dst: int) -> AttackKind | None:
+        if (src, dst) in self._quarantined:
+            return None
+        roll = self._rng(src, dst).random()
+        for kind, field in _LEGACY_ORDER:
+            rate = getattr(self.cfg, field)
+            if roll < rate:
+                if kind is AttackKind.SPLICE and self.splice_target(src, dst) is None:
+                    return AttackKind.FLIP_CIPHER
+                return kind
+            roll -= rate
+        return None
+
+    def splice_target(self, src: int, dst: int) -> int | None:
+        for node in self._nodes:
+            if node != src and node != dst:
+                return node
+        return None
+
+    def on_quarantine(self, src: int, dst: int) -> None:
+        self._quarantined.add((src, dst))
+
+
+def _legacy_event(faults, attacks, src, dst):
+    """What the transports made of the two legacy streams, per wire copy."""
+    verdict = faults.decide(src, dst) if faults is not None else FaultVerdict.OK
+    attack = attacks.decide(src, dst) if attacks is not None else None
+    if verdict in (FaultVerdict.DROP, FaultVerdict.CORRUPT):
+        attack = None
+    return verdict, attack
+
+
+def _eighths(parts: list[int]) -> list[float]:
+    """Clip integer eighths to a budget of 8: exact rates summing to <= 1."""
+    rates, budget = [], 8
+    for part in parts:
+        part = min(part, budget)
+        budget -= part
+        rates.append(part / 8)
+    return rates
+
+
+def _rates(n: int):
+    """Rate vectors: all zero, a single 1.0, exact eighths (sums of exactly
+    1 included), and arbitrary floats scaled to sum to about 1."""
+    return st.one_of(
+        st.just([0.0] * n),
+        st.integers(0, n - 1).map(lambda i: [float(j == i) for j in range(n)]),
+        st.lists(st.integers(0, 8), min_size=n, max_size=n).map(_eighths),
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(
+            lambda r: [x / max(1.0, sum(r)) for x in r]
+        ),
+    )
+
+
+_FAULT_FIELDS = ("drop_rate", "corrupt_rate", "duplicate_rate", "delay_rate")
+
+
+class TestWireInjectorDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fault_seed=st.integers(0, 2**16),
+        adv_seed=st.integers(0, 2**16),
+        fault_rates=_rates(4),
+        attack_rates=_rates(7),
+        n_nodes=st.sampled_from([2, 3, 5]),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)),
+            min_size=1,
+            max_size=120,
+        ),
+    )
+    def test_event_stream_matches_the_two_legacy_injectors(
+        self, fault_seed, adv_seed, fault_rates, attack_rates, n_nodes, ops
+    ):
+        fault = FaultConfig(seed=fault_seed, **dict(zip(_FAULT_FIELDS, fault_rates)))
+        adversary = AdversaryConfig(
+            seed=adv_seed, **dict(zip(AdversaryConfig._RATE_FIELDS, attack_rates))
+        )
+        nodes = list(range(n_nodes))
+        wire = WireInjector(fault, adversary, nodes)
+        faults = _LegacyFaultStream(fault) if fault.enabled else None
+        attacks = _LegacyAttackStream(adversary, nodes) if adversary.enabled else None
+        for quarantine, a, b in ops:
+            src, dst = a % n_nodes, b % n_nodes
+            if src == dst:
+                continue
+            if quarantine:
+                wire.on_quarantine(src, dst)
+                if attacks is not None:
+                    attacks.on_quarantine(src, dst)
+                continue
+            assert wire.decide(src, dst) == _legacy_event(faults, attacks, src, dst)
+
+
+class TestRateTablesLineUp:
+    """The injector builds its roll tables from the outcome enums, reading
+    each rate as ``{value}_rate``: the enum order is the roll order and
+    must stay the config's rate-field order."""
+
+    def test_attack_kinds_match_adversary_rate_fields(self):
+        assert [f"{kind.value}_rate" for kind in AttackKind] == list(
+            AdversaryConfig._RATE_FIELDS
+        )
+
+    def test_fault_verdicts_match_fault_rate_fields(self):
+        fields = [f.name for f in dataclasses.fields(FaultConfig) if f.name.endswith("_rate")]
+        verdicts = [v for v in FaultVerdict if v is not FaultVerdict.OK]
+        assert [f"{v.value}_rate" for v in verdicts] == fields == list(_FAULT_FIELDS)
 
 
 class TestAttackReport:
@@ -356,3 +565,9 @@ class TestExperimentHarness:
         from repro.experiments.fig_adversary import adversary_config
 
         assert adversary_config("private", "all", rate=0.0) == scheme_config("private")
+
+    def test_faults_and_attacks_together_keep_the_contract(self, capsys):
+        from repro.experiments.fig_adversary import SMOKE_WORKLOADS, check_combined
+
+        assert check_combined() == 3 * len(SMOKE_WORKLOADS)
+        assert "0 accepted undetected" in capsys.readouterr().out

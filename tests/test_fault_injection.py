@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.configs import FaultConfig, scheme_config
-from repro.interconnect.faults import FaultInjector, FaultVerdict, LinkFailureError
+from repro.configs import AdversaryConfig, FaultConfig, scheme_config
+from repro.interconnect.faults import FaultVerdict, LinkFailureError
 from repro.runner import (
     ResultCache,
     SweepJob,
@@ -23,6 +23,7 @@ from repro.runner import (
     report_from_dict,
     report_to_dict,
 )
+from repro.secure.adversary import WireInjector
 from repro.sim.stats import FaultStats
 from repro.system import MultiGpuSystem
 from repro.tracing import MessageTracer
@@ -69,22 +70,34 @@ class TestFaultConfig:
         assert FaultConfig().total_rate == 0.0
 
 
+class _FaultsOnly(WireInjector):
+    """A :class:`WireInjector` with no adversary, rolling link faults only."""
+
+    def __init__(self, cfg: FaultConfig) -> None:
+        super().__init__(cfg, AdversaryConfig(), [0, 1, 2, 3])
+
+    def decide(self, src: int, dst: int) -> FaultVerdict:
+        verdict, attack = super().decide(src, dst)
+        assert attack is None
+        return verdict
+
+
 class TestFaultInjector:
     def test_deterministic_per_pair_sequence(self):
         cfg = FaultConfig(drop_rate=0.2, corrupt_rate=0.2, seed=3)
-        one = FaultInjector(cfg)
+        one = _FaultsOnly(cfg)
         a = [one.decide(1, 2) for _ in range(50)]
-        another = FaultInjector(cfg)
+        another = _FaultsOnly(cfg)
         b = [another.decide(1, 2) for _ in range(50)]
         assert a == b
         assert len(set(a)) > 1  # the stream actually varies
 
     def test_pairs_and_directions_are_independent_streams(self):
         cfg = FaultConfig(drop_rate=0.3, corrupt_rate=0.3, seed=1)
-        inj = FaultInjector(cfg)
+        inj = _FaultsOnly(cfg)
         fwd = [inj.decide(1, 2) for _ in range(100)]
         # interleaving other pairs must not perturb the (1, 2) stream
-        inj2 = FaultInjector(cfg)
+        inj2 = _FaultsOnly(cfg)
         fwd2 = []
         for _ in range(100):
             inj2.decide(2, 1)
@@ -94,16 +107,22 @@ class TestFaultInjector:
 
     def test_seed_changes_the_stream(self):
         mk = lambda seed: [
-            FaultInjector(FaultConfig(drop_rate=0.5, seed=seed)).decide(1, 2)
+            _FaultsOnly(FaultConfig(drop_rate=0.5, seed=seed)).decide(1, 2)
             for _ in range(64)
         ]
         assert mk(1) != mk(2)
 
     def test_extreme_rates(self):
-        all_drop = FaultInjector(FaultConfig(drop_rate=1.0))
+        all_drop = _FaultsOnly(FaultConfig(drop_rate=1.0))
         assert all(all_drop.decide(1, 2) is FaultVerdict.DROP for _ in range(20))
-        clean = FaultInjector(FaultConfig(drop_rate=0.0, corrupt_rate=0.0))
+        clean = _FaultsOnly(FaultConfig(drop_rate=0.0, corrupt_rate=0.0))
         assert all(clean.decide(1, 2) is FaultVerdict.OK for _ in range(20))
+
+    def test_quarantine_does_not_stop_link_faults(self):
+        # rerouting escapes the attacker, not the physics of the new link
+        wire = WireInjector(FaultConfig(drop_rate=1.0), AdversaryConfig(), [0, 1, 2])
+        wire.on_quarantine(1, 2)
+        assert wire.decide(1, 2) == (FaultVerdict.DROP, None)
 
 
 class TestRateZeroInvisibility:
