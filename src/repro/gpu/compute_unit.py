@@ -10,7 +10,12 @@ global window bound how far it can run ahead.
 The replay state is flat: three parallel integer tuples (``gaps``,
 ``addrs``, ``writes`` — the :class:`~repro.workloads.compiled.CompiledLane`
 layout) and an index.  The device pump reads the arrays directly; no
-per-access object ever exists on the replay path.  A legacy
+per-access object ever exists on the replay path.  Every change to a
+lane's issue state (:meth:`ComputeUnitLane.issue`, :meth:`ComputeUnitLane.hold`,
+:meth:`ComputeUnitLane.complete`) returns the lane's new *readiness*: the
+cycle its next access may issue, or :data:`NEVER` while it is exhausted or
+at its cap.  The device caches that value per lane, so its pump never
+re-derives readiness from the fields.  A legacy
 ``list[Access]`` trace is accepted and compiled on the way in, so unit
 tests and ad-hoc callers can still hand the lane authoring-form traces.
 """
@@ -21,6 +26,9 @@ from enum import Enum
 
 from repro.workloads.base import Access, AccessKind, LaneTrace
 from repro.workloads.compiled import CompiledLane
+
+#: readiness of a lane that cannot issue until something completes (or ever)
+NEVER = 1 << 62
 
 
 class LaneState(Enum):
@@ -43,7 +51,6 @@ class ComputeUnitLane:
         "index",
         "ready_at",
         "outstanding",
-        "issued",
     )
 
     def __init__(
@@ -69,7 +76,6 @@ class ComputeUnitLane:
         self.index = 0
         self.ready_at = trace.gaps[0] if self.n else 0
         self.outstanding = 0
-        self.issued = 0
 
     # ------------------------------------------------------------------
     # State queries
@@ -92,6 +98,13 @@ class ComputeUnitLane:
             return LaneState.WAITING
         return LaneState.READY
 
+    def readiness(self) -> int:
+        """``ready_at`` while the lane may issue once its gap elapses, else
+        :data:`NEVER` (exhausted, or at its outstanding cap)."""
+        if self.index < self.n and self.outstanding < self.max_outstanding:
+            return self.ready_at
+        return NEVER
+
     def peek(self) -> Access:
         """The next access in authoring form (diagnostics/tests only —
         the hot path reads the arrays directly)."""
@@ -107,28 +120,37 @@ class ComputeUnitLane:
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
-    def issue(self, now: int, consumes_slot: bool) -> None:
-        """Issue the next access at cycle ``now``.
+    def issue(self, now: int, consumes_slot: bool) -> int:
+        """Issue the next access at cycle ``now``; returns the readiness.
 
-        ``consumes_slot`` is True for accesses that stay outstanding
-        (remote misses); cache hits and local accesses complete immediately
-        from the lane's point of view.
+        ``consumes_slot`` is True for an access that stalls on an IOMMU
+        walk.  Cache hits and local writes complete immediately from the
+        lane's point of view; any other access takes its slot through
+        :meth:`hold` once it is routed.
         """
-        if self.state(now) is not LaneState.READY:
+        index = self.index
+        if index >= self.n or self.outstanding >= self.max_outstanding or now < self.ready_at:
             raise RuntimeError(f"lane {self.lane_id} not ready at {now}")
-        index = self.index + 1
+        index += 1
         self.index = index
-        self.issued += 1
         if consumes_slot:
             self.outstanding += 1
         if index < self.n:
             self.ready_at = now + self.gaps[index]
+        return self.readiness()
 
-    def complete(self) -> None:
-        """A previously issued outstanding access finished."""
+    def hold(self) -> int:
+        """An issued access takes an outstanding slot; returns the readiness."""
+        self.outstanding += 1
+        return self.readiness()
+
+    def complete(self) -> int:
+        """A previously issued outstanding access finished; returns the
+        readiness."""
         if self.outstanding <= 0:
             raise RuntimeError(f"lane {self.lane_id} has nothing outstanding")
         self.outstanding -= 1
+        return self.readiness()
 
 
-__all__ = ["ComputeUnitLane", "LaneState"]
+__all__ = ["ComputeUnitLane", "LaneState", "NEVER"]

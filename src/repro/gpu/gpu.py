@@ -13,13 +13,17 @@ a per-lane outstanding cap (wavefront dependencies) and a GPU-wide
 outstanding-request window (MSHR capacity).
 
 Hot-path notes: the pump replays :class:`~repro.workloads.compiled.
-CompiledLane` integer arrays directly — no per-access objects — with lane
-readiness inlined (the :class:`~repro.gpu.compute_unit.LaneState` enum is
-for tests and diagnostics, not the issue loop).  One scan from the
-round-robin pointer picks the next lane or, when no lane is ready, yields
-the next wakeup time.  Every one-shot completion callback goes through the
-engine's no-handle ``post``/``post_at`` path.  Only the wakeup timer,
-which is routinely cancelled and rescheduled, takes an
+CompiledLane` integer arrays directly — no per-access objects.  The device
+caches each lane's readiness (the cycle its next access may issue, or
+:data:`~repro.gpu.compute_unit.NEVER`), rewritten only where lane state
+changes: issue, slot hold and completion.  A pump therefore costs
+O(winners): one ``min()`` over that list says whether any lane is ready
+and, when none is, is the next wakeup; a scan from the round-robin pointer
+runs only when there is a winner.  The
+:class:`~repro.gpu.compute_unit.LaneState` enum is for tests and
+diagnostics, never the issue loop.  Every one-shot completion callback
+goes through the engine's no-handle ``post``/``post_at`` path.  Only the
+wakeup timer, which is routinely cancelled and rescheduled, takes an
 :class:`~repro.sim.engine.Event` handle.
 """
 
@@ -30,7 +34,7 @@ from typing import Callable
 
 from repro.configs import GpuConfig, MigrationConfig
 from repro.gpu.cache import SetAssociativeCache
-from repro.gpu.compute_unit import ComputeUnitLane
+from repro.gpu.compute_unit import NEVER, ComputeUnitLane
 from repro.gpu.hbm import HbmModel
 from repro.gpu.tlb import TlbHierarchy
 from repro.interconnect.packet import Packet, PacketKind
@@ -87,6 +91,7 @@ class GpuDevice:
         self._pending: dict[int, tuple] = {}  # txn id -> (kind, payload)
         self._migrating: dict[int, dict] = {}  # page -> in-flight migration state
         self._wakeup = None
+        self._ready: list[int] = []  # per-lane readiness, indexed by lane id
         self._rr_next = 0  # round-robin pointer: the lane the next scan starts at
         self.finish_cycle: int | None = None
         self.instructions = 0
@@ -122,63 +127,69 @@ class GpuDevice:
                     f"gpu{self.node_id}.l1.{lane_id}", self.cfg.l1_size, self.cfg.l1_assoc
                 )
             )
+        self._ready = [lane.readiness() for lane in self.lanes]
 
     def start(self) -> None:
         self.sim.post(0, self._pump)
+
+    def detach(self) -> None:
+        """End of run: drop the references that lead back into the device
+        or its owner: the wakeup timer (it holds the bound pump), the
+        migration-commit callback, and the waiters of fetches still in
+        flight (a run that raised leaves some)."""
+        self._wakeup = None
+        self.on_migration_commit = None
+        self.directory.clear()
 
     # ------------------------------------------------------------------
     # Issue pump
     # ------------------------------------------------------------------
     def _pump(self) -> None:
+        """Issue every lane that may issue now, then arm the next wakeup.
+
+        ``_ready`` holds each lane's readiness (see
+        :meth:`~repro.gpu.compute_unit.ComputeUnitLane.readiness`), kept up
+        to date at every issue, slot hold and completion.  Its minimum says
+        whether any lane is ready and, when none is, is the next wakeup, so
+        a pump that issues nothing costs one ``min()``.  Winners are found
+        by a scan from the round-robin pointer: the grant order of a
+        :class:`~repro.interconnect.arbiter.RoundRobinArbiter` over the
+        ready lanes.  Wavefront schedulers grant issue slots fairly, and
+        without rotation low-numbered lanes would monopolize the window.
+        """
+        ready = self._ready
+        if not ready:
+            return  # no trace loaded: nothing ever issues
         now = self.sim.now
-        max_out = self.cfg.max_outstanding
-        lanes = self.lanes
-        while True:
-            winner, next_time = self._grant_lane(now, self.outstanding < max_out)
-            if winner is None:
-                break
-            self._handle_access(lanes[winner], now)
-        self._schedule_wakeup(now, next_time)
-        if self.finish_cycle is None:
+        earliest = min(ready)
+        if earliest <= now:
+            lanes = self.lanes
+            n = len(ready)
+            max_out = self.cfg.max_outstanding
+            while True:
+                if self.outstanding >= max_out:
+                    # lanes past their gap now wait for a completion, not a
+                    # timer, so only future readiness sets the wakeup
+                    earliest = min((t for t in ready if t > now), default=NEVER)
+                    break
+                idx = self._rr_next
+                while ready[idx] > now:
+                    idx += 1
+                    if idx == n:
+                        idx = 0
+                self._rr_next = idx + 1 if idx + 1 < n else 0
+                self._handle_access(lanes[idx], now)
+                earliest = min(ready)
+                if earliest > now:
+                    break
+        if earliest != NEVER:
+            self._schedule_wakeup(now, earliest)
+        elif self.finish_cycle is None:
+            # a drained device has no lane that may ever issue again
             self._check_finished(now)
 
-    def _grant_lane(self, now: int, window_open: bool) -> tuple[int | None, int | None]:
-        """One scan of the lanes from the round-robin pointer.
-
-        Returns ``(winner, next_time)``.  With the window open, the first
-        READY lane (not exhausted, under its outstanding cap, gap elapsed)
-        wins and the pointer moves past it.  That is the grant order of a
-        :class:`~repro.interconnect.arbiter.RoundRobinArbiter` over the
-        ready lanes: wavefront schedulers grant issue slots fairly, and
-        without rotation low-numbered lanes would monopolize the window.
-
-        When nothing wins, the scan has seen every lane, and ``next_time``
-        is the earliest ``ready_at`` of a WAITING lane (under its cap, gap
-        still running), or None if no lane waits.
-        """
-        lanes = self.lanes
-        n = len(lanes)
-        start = self._rr_next
-        next_time = None
-        for offset in range(n):
-            idx = start + offset
-            if idx >= n:
-                idx -= n
-            l = lanes[idx]
-            if l.index < l.n and l.outstanding < l.max_outstanding:
-                ready_at = l.ready_at
-                if now < ready_at:
-                    if next_time is None or ready_at < next_time:
-                        next_time = ready_at
-                elif window_open:
-                    self._rr_next = idx + 1 if idx + 1 < n else 0
-                    return idx, next_time
-        return None, next_time
-
-    def _schedule_wakeup(self, now: int, next_time: int | None) -> None:
+    def _schedule_wakeup(self, now: int, next_time: int) -> None:
         """Arm the pump for ``next_time``, keeping an earlier live timer."""
-        if next_time is None:
-            return
         # an existing wakeup only counts if it is still in the future
         wakeup = self._wakeup
         if wakeup is not None and not wakeup.cancelled and wakeup.time > now:
@@ -188,10 +199,7 @@ class GpuDevice:
         self._wakeup = self.sim.schedule_at(next_time, self._pump)
 
     def _check_finished(self, now: int) -> None:
-        lanes = self.lanes
-        if not lanes:
-            return
-        for l in lanes:
+        for l in self.lanes:
             if l.index < l.n or l.outstanding:
                 return
         self.finish_cycle = now
@@ -204,16 +212,15 @@ class GpuDevice:
         addr = lane.addrs[i]
         write = lane.writes[i]
         _, needs_walk = self.tlbs.translate(addr)
+        # An IOMMU walk round-trip stalls this access; the lane slot is held
+        # so dependent work backs up behind the walk.
+        self._ready[lane.lane_id] = lane.issue(now, needs_walk)
         if needs_walk:
-            # The IOMMU walk round-trip stalls this access; the lane slot is
-            # held so dependent work backs up behind the walk.
-            lane.issue(now, consumes_slot=True)
             self.sim.post(
                 self.cfg.iommu_walk_cycles,
                 lambda l=lane, a=addr, w=write: self._access_memory(l, a, w, True),
             )
             return
-        lane.issue(now, consumes_slot=False)
         self._access_memory(lane, addr, write, False)
 
     def _access_memory(
@@ -240,13 +247,17 @@ class GpuDevice:
 
     def _finish_access(self, lane: ComputeUnitLane, slot_held: bool) -> None:
         if slot_held:
-            lane.complete()
-            self._pump()
+            self._retire(lane)
 
     def _hold_slot(self, lane: ComputeUnitLane, slot_held: bool) -> None:
         """Ensure the lane slot is occupied for an in-flight access."""
         if not slot_held:
-            lane.outstanding += 1
+            self._ready[lane.lane_id] = lane.hold()
+
+    def _retire(self, lane: ComputeUnitLane) -> None:
+        """An in-flight access of ``lane`` finished: free its slot and pump."""
+        self._ready[lane.lane_id] = lane.complete()
+        self._pump()
 
     # ------------------------------------------------------------------
     # Local path
@@ -266,8 +277,7 @@ class GpuDevice:
     def _local_read_done(self, lane: ComputeUnitLane, addr: int) -> None:
         self.l2.fill(addr)
         self.l1s[lane.lane_id].fill(addr)
-        lane.complete()
-        self._pump()
+        self._retire(lane)
 
     # ------------------------------------------------------------------
     # Remote path
@@ -309,8 +319,7 @@ class GpuDevice:
 
     def _remote_read_done(self, lane: ComputeUnitLane, addr: int) -> None:
         self.l1s[lane.lane_id].fill(addr)
-        lane.complete()
-        self._pump()
+        self._retire(lane)
 
     def _remote_write(self, lane: ComputeUnitLane, addr: int, owner: int) -> None:
         self._remote_writes.add()
@@ -445,16 +454,16 @@ class GpuDevice:
             raise ValueError(f"gpu{self.node_id}: stray DATA_RESP txn {packet.txn_id}")
         self.outstanding -= 1
         self.l2.fill(packet.address)
+        # every waiter retires its lane and pumps; one more pump at the same
+        # cycle on the same state would issue nothing
         self.directory.complete(self.node_id, ctx[1], now)
-        self._pump()
 
     def _complete_write(self, packet: Packet) -> None:
         ctx = self._pending.pop(packet.txn_id, None)
         if ctx is None or ctx[0] != "write":
             raise ValueError(f"gpu{self.node_id}: stray WRITE_ACK txn {packet.txn_id}")
         self.outstanding -= 1
-        ctx[1].complete()
-        self._pump()
+        self._retire(ctx[1])
 
     # ------------------------------------------------------------------
     # Reporting

@@ -4,7 +4,8 @@ Used where several logical streams contend for one resource in the same
 cycle.  Round-robin matches the fair wavefront schedulers of the modeled
 hardware and keeps runs deterministic.  The GPU issue pump grants its
 compute-unit lanes in exactly this order but inlines the rotation into its
-lane scan (``GpuDevice._grant_lane``), so it never builds a request list.
+scan of cached lane readiness (``GpuDevice._pump``), so it never builds a
+request list.
 """
 
 from __future__ import annotations

@@ -50,6 +50,10 @@ class BlockDirectory:
             callback(finish_cycle)
         return len(waiters)
 
+    def clear(self) -> None:
+        """Forget every in-flight fetch and its waiters."""
+        self._pending.clear()
+
     def in_flight(self, node: int, block: int) -> bool:
         return (node, block) in self._pending
 

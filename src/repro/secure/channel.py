@@ -138,6 +138,14 @@ class _TransportBase:
             raise ValueError(f"node {node} already registered")
         self._handlers[node] = handler
 
+    def close(self) -> None:
+        """End of run: forget what leads back into the machine.
+
+        Delivery handlers are bound device methods, and each device holds
+        this transport.
+        """
+        self._handlers.clear()
+
     def _deliver(self, packet: Packet, time: int) -> None:
         handler = self._handlers.get(packet.dst)
         if handler is None:
@@ -985,6 +993,13 @@ class SecureTransport(_TransportBase):
                 self._launch_hostile(p, s, b, c)
             ),
         )
+
+    def close(self) -> None:
+        """End of run: also drop the blocks still awaiting an ACK (a run
+        that raised leaves some), whose timers call back into this
+        transport."""
+        super().close()
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     # Aggregated reporting

@@ -199,6 +199,16 @@ class Simulator:
         """Register a hook invoked once when the run finishes."""
         self._end_hooks.append(hook)
 
+    def clear(self) -> None:
+        """Drop every pending event and end hook.
+
+        Their callbacks lead back into the components, which hold this
+        simulator, so a finished run clears them to let refcounting free
+        the component graph.
+        """
+        self.queue._heap.clear()
+        self._end_hooks.clear()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -213,9 +223,13 @@ class Simulator:
         The cyclic garbage collector is paused for the duration of the
         drain: the engine's own garbage (heap tuples, packets, lambdas) is
         acyclic and freed by refcounting, so gen-0 scans during the run are
-        pure overhead.  The collector is restored — and run once — on exit,
-        so long-lived cycles created by a run are still reclaimed between
-        cells of a sweep.
+        pure overhead.  On exit the collector is re-enabled but not run: the
+        only cycles a run leaves are the components' own (devices and the
+        transport pointing at each other, callbacks into both), and the
+        owner of the components cuts those when it is done with them
+        (:meth:`clear`, ``MultiGpuSystem._teardown``), so refcounting frees
+        a finished cell without a full collection.
+        ``tests/test_cell_teardown.py`` holds every cell to that.
         """
         heap = self.queue._heap
         pop = heappop
@@ -250,7 +264,6 @@ class Simulator:
         finally:
             if gc_was_enabled:
                 gc.enable()
-                gc.collect()
             self.events_processed = processed
             self.queue.cancelled_dropped += cancelled
             self._running = False

@@ -165,18 +165,38 @@ class MultiGpuSystem:
         if self._ran:
             raise RuntimeError("a MultiGpuSystem instance runs exactly one workload")
         self._ran = True
-        with self.telemetry.phase("system.build"):
-            # Authoring-form traces are compiled here once; sweeps hand in an
-            # already-compiled (and possibly store-shared) trace directly.
-            trace = ensure_compiled(trace)
-            trace.validate()
-            self._build_devices(trace)
-            for gpu in self.gpus.values():
-                gpu.start()
-        with self.telemetry.phase("system.simulate"):
-            self.sim.run()
-        with self.telemetry.phase("system.report"):
-            return self._report(trace)
+        try:
+            with self.telemetry.phase("system.build"):
+                # Authoring-form traces are compiled here once; sweeps hand in
+                # an already-compiled (and possibly store-shared) trace directly.
+                trace = ensure_compiled(trace)
+                trace.validate()
+                self._build_devices(trace)
+                for gpu in self.gpus.values():
+                    gpu.start()
+            with self.telemetry.phase("system.simulate"):
+                self.sim.run()
+            with self.telemetry.phase("system.report"):
+                return self._report(trace)
+        finally:
+            self._teardown()
+
+    def _teardown(self) -> None:
+        """Cut the reference cycles the machine is built from.
+
+        The transport's handler table holds bound device methods while the
+        devices hold the transport; each GPU's wakeup event holds its bound
+        pump; each GPU's migration-commit callback is a bound method of this
+        system; leftover heap entries and end hooks hold callbacks into all
+        of them.  With these edges cut, refcounting frees the whole cell as
+        soon as the caller drops it (a cell that raised included), so no
+        run needs a full garbage collection.  Runs once the report is built:
+        the report itself holds no reference back into the machine.
+        """
+        self.transport.close()
+        for gpu in self.gpus.values():
+            gpu.detach()
+        self.sim.clear()
 
     # ------------------------------------------------------------------
     # Reporting

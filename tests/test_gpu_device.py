@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.configs import GpuConfig, MigrationConfig
-from repro.gpu.compute_unit import ComputeUnitLane, LaneState
+from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.compute_unit import NEVER, ComputeUnitLane, LaneState
 from repro.gpu.cpu import HostCpu
 from repro.gpu.gpu import GpuDevice
 from repro.interconnect.arbiter import RoundRobinArbiter
@@ -18,13 +19,13 @@ from repro.workloads.base import Access, AccessKind, GpuTrace
 from tests.conftest import FakeTransport
 
 
-def make_gpu(sim, transport, owners, node=1, threshold=100, **gpu_overrides):
+def make_gpu(sim, transport, owners, node=1, threshold=100, device=GpuDevice, **gpu_overrides):
     pt = PageTable(owners)
     policy = AccessCounterMigrationPolicy(
         pt, threshold=threshold, cost=MigrationCost(driver_cycles=50, shootdown_cycles=20)
     )
     cfg = GpuConfig(**gpu_overrides) if gpu_overrides else GpuConfig()
-    gpu = GpuDevice(
+    gpu = device(
         node_id=node,
         sim=sim,
         cfg=cfg,
@@ -67,6 +68,17 @@ class TestComputeUnitLane:
         lane = ComputeUnitLane(0, [])
         with pytest.raises(RuntimeError):
             lane.complete()
+
+    def test_every_state_change_returns_the_readiness(self):
+        lane = ComputeUnitLane(0, reads([0, 64, 128], gap=3), max_outstanding=2)
+        assert lane.readiness() == 3
+        assert lane.issue(3, consumes_slot=True) == 6 == lane.readiness()
+        assert lane.hold() == NEVER == lane.readiness()  # at its cap
+        lane.outstanding += 1  # defensively over its cap
+        assert lane.complete() == NEVER == lane.readiness()
+        assert lane.complete() == 6 == lane.readiness()
+        assert lane.issue(6, consumes_slot=False) == 9
+        assert lane.issue(9, consumes_slot=False) == NEVER == lane.readiness()  # exhausted
 
     def test_empty_trace_is_drained(self):
         lane = ComputeUnitLane(0, [])
@@ -219,30 +231,122 @@ class TestMigration:
         assert not gpu.l2.contains(PAGE_BYTES)
 
 
+class _ReferencePump(GpuDevice):
+    """The issue pump before per-lane readiness was cached, kept verbatim:
+    every pump ends with a full lane scan for the next wakeup, and a read
+    completion pumps once more after its waiters."""
+
+    def _pump(self) -> None:
+        now = self.sim.now
+        max_out = self.cfg.max_outstanding
+        lanes = self.lanes
+        while True:
+            winner, next_time = self._grant_lane(now, self.outstanding < max_out)
+            if winner is None:
+                break
+            self._handle_access(lanes[winner], now)
+        self._schedule_wakeup(now, next_time)
+        if self.finish_cycle is None:
+            self._check_finished(now)
+
+    def _grant_lane(self, now: int, window_open: bool) -> tuple[int | None, int | None]:
+        lanes = self.lanes
+        n = len(lanes)
+        start = self._rr_next
+        next_time = None
+        for offset in range(n):
+            idx = start + offset
+            if idx >= n:
+                idx -= n
+            l = lanes[idx]
+            if l.index < l.n and l.outstanding < l.max_outstanding:
+                ready_at = l.ready_at
+                if now < ready_at:
+                    if next_time is None or ready_at < next_time:
+                        next_time = ready_at
+                elif window_open:
+                    self._rr_next = idx + 1 if idx + 1 < n else 0
+                    return idx, next_time
+        return None, next_time
+
+    def _schedule_wakeup(self, now: int, next_time: int | None) -> None:
+        if next_time is None:
+            return
+        super()._schedule_wakeup(now, next_time)
+
+    def _complete_read(self, packet, now: int) -> None:
+        super()._complete_read(packet, now)
+        self._pump()
+
+
 # (n, index, max_outstanding, outstanding, ready_at): exhausted or not,
 # at, under or (defensively) over its cap, gap elapsed or still running
 _lane_states = st.tuples(
     st.integers(0, 3), st.integers(0, 3), st.integers(1, 3), st.integers(0, 4), st.integers(0, 20)
 )
+#: one access: (gap, page, block within the page, is_write); page 0 is the
+#: CPU's (remote), page 1 the device's own (local)
+_accesses = st.tuples(st.integers(0, 4), st.integers(0, 1), st.integers(0, 3), st.booleans())
+
+
+def _readiness_is_cached(gpu) -> bool:
+    return gpu._ready == [lane.readiness() for lane in gpu.lanes]
 
 
 class TestIssuePump:
     @staticmethod
-    def _device(states, pointer):
+    def _device(states, pointer, streams=None, device=GpuDevice, **gpu_overrides):
+        """A device whose lanes start mid-stream in the given states.
+
+        ``streams`` gives each lane's accesses; by default every access is
+        a read of block 0 one cycle after the previous issue.
+        """
         sim = Simulator()
-        gpu, _ = make_gpu(sim, FakeTransport(sim), {0: 0})
+        transport = FakeTransport(sim)
+        gpu, _ = make_gpu(sim, transport, {0: 0, 1: 1}, device=device, **gpu_overrides)
+        HostCpu(sim, transport)
         for lane_id, (n, index, cap, outstanding, ready_at) in enumerate(states):
-            lane = ComputeUnitLane(lane_id, [], max_outstanding=cap)
-            lane.n, lane.index = n, min(index, n)
+            stream = streams[lane_id][:n] if streams else [(1, 0, 0, False)] * n
+            n = len(stream)
+            lane = ComputeUnitLane(
+                lane_id,
+                [
+                    Access(
+                        gap=gap,
+                        address=page * PAGE_BYTES + block * BLOCK_BYTES,
+                        kind=AccessKind.WRITE if write else AccessKind.READ,
+                    )
+                    for gap, page, block, write in stream
+                ],
+                max_outstanding=cap,
+            )
+            lane.index = min(index, n)
             lane.outstanding, lane.ready_at = outstanding, ready_at
             gpu.lanes.append(lane)
+            gpu.l1s.append(SetAssociativeCache(f"l1.{lane_id}", 16 * 1024, 4))
+        gpu._ready = [lane.readiness() for lane in gpu.lanes]
         gpu._rr_next = pointer % len(states)
         return gpu
 
     @staticmethod
+    def _record_issues(gpu, then=None):
+        """Wrap the device's access handler to log the lanes it issues."""
+        issued = []
+        handle = gpu._handle_access
+
+        def recording(lane, now):
+            issued.append(lane.lane_id)
+            handle(lane, now)
+            if then is not None:
+                then()
+
+        gpu._handle_access = recording
+        return issued
+
+    @staticmethod
     def _reference(lanes, pointer, now, window_open):
-        """The pump before the single scan: the ready-lane list granted by
-        a RoundRobinArbiter, then a separate wakeup scan of every lane."""
+        """One round-robin grant as a RoundRobinArbiter makes it over the
+        ready lanes, plus the wakeup a separate scan of every lane finds."""
         arbiter = RoundRobinArbiter(range(len(lanes)))
         arbiter._next = pointer
         ready = [
@@ -269,16 +373,97 @@ class TestIssuePump:
         gpu = self._device(states, pointer)
         pointer = gpu._rr_next
         winner, next_pointer, next_time = self._reference(gpu.lanes, pointer, now, window_open)
-        got_winner, got_next_time = gpu._grant_lane(now, window_open)
-        assert got_winner == winner
+        full = gpu.cfg.max_outstanding
+        gpu.outstanding = 0 if window_open else full
+
+        def close_window():  # stop the pump after its first grant
+            gpu.outstanding = full
+
+        issued = self._record_issues(gpu, then=close_window)
+        gpu.sim.now = now
+        gpu._pump()
+        assert issued == ([] if winner is None else [winner])
         assert gpu._rr_next == next_pointer
         if winner is None:
-            assert got_next_time == next_time
+            assert (gpu._wakeup.time if gpu._wakeup else None) == next_time
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        states=st.lists(_lane_states, min_size=1, max_size=8),
+        streams=st.lists(st.lists(_accesses, min_size=3, max_size=3), min_size=8, max_size=8),
+        pointer=st.integers(0, 7),
+        now=st.integers(0, 20),
+        max_outstanding=st.integers(1, 6),
+        window_used=st.integers(0, 6),
+        armed=st.one_of(st.none(), st.integers(1, 30)),
+    )
+    def test_pump_matches_reference_pump(
+        self, states, streams, pointer, now, max_outstanding, window_used, armed
+    ):
+        """Exhausted, capped and over-cap lanes, any pointer, a window that
+        may close mid-pump, an already armed timer: the same lanes issue in
+        the same order, and the same wakeup is left armed."""
+        devices = []
+        for device in (GpuDevice, _ReferencePump):
+            gpu = self._device(states, pointer, streams, device, max_outstanding=max_outstanding)
+            gpu.outstanding = min(window_used, max_outstanding)
+            gpu.sim.now = now
+            if armed is not None:
+                gpu._wakeup = gpu.sim.schedule(armed, gpu._pump)
+            devices.append(gpu)
+        gpu, reference = devices
+
+        def check_cache():
+            assert _readiness_is_cached(gpu)
+
+        issued = self._record_issues(gpu, then=check_cache)
+        expected = self._record_issues(reference)
+        gpu._pump()
+        reference._pump()
+        assert issued == expected
+        assert gpu._rr_next == reference._rr_next
+        assert gpu.outstanding == reference.outstanding
+        assert _readiness_is_cached(gpu)
+        wakeups = [g._wakeup and (g._wakeup.time, g._wakeup.cancelled) for g in devices]
+        assert wakeups[0] == wakeups[1]
+        assert gpu.sim.queue.pushes == reference.sim.queue.pushes
+        assert gpu.finish_cycle == reference.finish_cycle
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        streams=st.lists(st.lists(_accesses, min_size=1, max_size=10), min_size=1, max_size=4),
+        max_outstanding=st.integers(1, 6),
+        cap=st.integers(1, 3),
+    )
+    def test_whole_run_matches_reference_pump(self, streams, max_outstanding, cap):
+        """Event by event, a full run issues, wakes and finishes exactly as
+        the reference pump does, with the readiness cache exact throughout."""
+        runs = []
+        for device in (GpuDevice, _ReferencePump):
+            states = [(len(s), 0, cap, 0, s[0][0]) for s in streams]
+            gpu = self._device(states, 0, streams, device, max_outstanding=max_outstanding)
+            issued = self._record_issues(gpu)
+            gpu.start()
+            while gpu.sim.step():
+                if device is GpuDevice:
+                    assert _readiness_is_cached(gpu)
+            sim = gpu.sim
+            runs.append(
+                (
+                    issued,
+                    gpu.finish_cycle,
+                    sim.events_processed,
+                    sim.queue.pushes,
+                    sim.queue.cancelled_dropped,
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][1] is not None
 
     def test_no_waiting_lane_arms_no_wakeup(self):
         # one exhausted lane, one at its cap: nothing ready, nothing waiting
         gpu = self._device([(0, 0, 1, 0, 5), (2, 0, 1, 1, 5)], 0)
-        assert gpu._grant_lane(0, True) == (None, None)
+        assert gpu._ready == [NEVER, NEVER]
         gpu._pump()
         assert gpu._wakeup is None
 

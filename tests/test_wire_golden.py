@@ -1,10 +1,16 @@
-"""Golden digests of hostile-wire reports.
+"""Golden digests of hostile-wire and clean reports.
 
-Each cell runs ``fir`` under link faults, an active adversary, or both,
-and hashes the canonical report JSON (every counter, ledger, timeline and
-metric the run produced).  The digests pin the exact wire behaviour —
-which copies land, when, and in what order — so a refactor of the
-injection path that shifts one event anywhere shows up here.
+Each cell hashes the canonical report JSON (every counter, ledger,
+timeline and metric the run produced), so a refactor that shifts one
+event anywhere shows up here.  Two families of cells:
+
+* hostile wire: ``fir`` under link faults, an active adversary, or both.
+  The digests pin which copies land, when, and in what order.
+* clean: every scheme on ``pagerank`` (page migrations, shootdowns) and
+  ``allgather`` (collective traffic, no migrations), with no fault and no
+  attack.  These pin the GPU issue pump, the caches, the migration path
+  and the secure channel's clean path, including the engine's
+  event/push/cancel profile on the report.
 
 Regenerate (only for a deliberate behaviour change, and say why) with::
 
@@ -42,19 +48,24 @@ BOTH_FAULTS = dict(duplicate_rate=0.08, delay_rate=0.04, seed=5)
 BOTH_ATTACKS = dict(replay_rate=0.05, splice_rate=0.05, forge_rate=0.05, seed=11)
 
 SCHEMES = ("unsecure", "private", "batching")
+CLEAN_SCHEMES = ("unsecure", "private", "cached", "dynamic", "batching")
+CLEAN_WORKLOADS = ("pagerank", "allgather")
 
 
-def _cells() -> dict[str, tuple[str, int, dict, dict]]:
+def _cells() -> dict[str, tuple[str, str, int, dict, dict]]:
     cells = {}
     for scheme in SCHEMES:
-        cells[f"{scheme}-faults"] = (scheme, 4, FAULTS, {})
-        cells[f"{scheme}-attacks"] = (scheme, 4, {}, ATTACKS)
-        cells[f"{scheme}-both"] = (scheme, 4, BOTH_FAULTS, BOTH_ATTACKS)
+        cells[f"{scheme}-faults"] = ("fir", scheme, 4, FAULTS, {})
+        cells[f"{scheme}-attacks"] = ("fir", scheme, 4, {}, ATTACKS)
+        cells[f"{scheme}-both"] = ("fir", scheme, 4, BOTH_FAULTS, BOTH_ATTACKS)
     # the smallest fabric with GPU-to-GPU traffic: a splice's only third
     # node is the CPU (the splice-to-flip fallback needs a two-node
     # fabric, which carries no data blocks; tests/test_adversary.py
     # covers it at the injector)
-    cells["private-attacks-2gpu"] = ("private", 2, {}, ATTACKS)
+    cells["private-attacks-2gpu"] = ("fir", "private", 2, {}, ATTACKS)
+    for scheme in CLEAN_SCHEMES:
+        for workload in CLEAN_WORKLOADS:
+            cells[f"{scheme}-{workload}"] = (workload, scheme, 4, {}, {})
     return cells
 
 
@@ -73,17 +84,28 @@ GOLDEN = {
     # the wire after the attacker's extra copy, on both transports
     "unsecure-both": "0f8fd69a337e593fcc5dc6104a71ac1e8e321cc2c9098b0c0ddb7d8a073646d7",
     "unsecure-faults": "b6b5507b3d83935b5f6148e8f11845fd74188fa12f525b5a347130f0b7e864f1",
+    # clean cells: no fault, no attack
+    "batching-allgather": "c043615e0065b621978726e47b8f721cfe7373a731bcd3a1ab678e1d37f1b66d",
+    "batching-pagerank": "c2f234fbdaa82465f8e9066b85bb16ec3fdcc0f030ee6a299b59b1984aebe5e0",
+    "cached-allgather": "5471a0461e671a1831d24610e14f87303785e3ce59f41999d03c17d5878c82cc",
+    "cached-pagerank": "f7981dd332191ce843c6db0cf39d79e0226fdcc31e6d468562c7f86c1097f055",
+    "dynamic-allgather": "e57c1b648a7c3f745097b060aadea15323c552a0b3c2366d3c219ae5c732479e",
+    "dynamic-pagerank": "60e7e94577b07c008b4d11162d1027423e56bf9daee2c244b0a193ec6089ac31",
+    "private-allgather": "6ebf822a8c4b6be2bff88ba1d1b15a7872e72abef0859a4f50669da49ed97ed5",
+    "private-pagerank": "8ea73c544f79cb18d56de3dea151e5b4d2975bb711756bd766c35f99381f9dcf",
+    "unsecure-allgather": "e99c340d7e7baac487c9190690816c6155ff45ad03159bd4661d75924e19e334",
+    "unsecure-pagerank": "45db7df6076b1137486de5d8a6b2c2a4c810d108bcafe1e029a7388869b7370d",
 }
 
 
 def _digest(name: str) -> str:
-    scheme, n_gpus, fault, adversary = CELLS[name]
+    workload, scheme, n_gpus, fault, adversary = CELLS[name]
     config = scheme_config(scheme, n_gpus=n_gpus)
     if fault:
         config = config.with_fault(**fault)
     if adversary:
         config = config.with_adversary(**adversary)
-    report = execute_job(SweepJob(get_workload("fir"), config, seed=1, scale=0.05))
+    report = execute_job(SweepJob(get_workload(workload), config, seed=1, scale=0.05))
     return hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
 
 
